@@ -113,9 +113,7 @@ func (v *Vector) AndNot(o *Vector) {
 func (v *Vector) OrAnd(a, b *Vector) {
 	v.match(a)
 	v.match(b)
-	for i := range v.words {
-		v.words[i] |= a.words[i] & b.words[i]
-	}
+	OrAndWords(v.words, a.words, b.words)
 }
 
 func (v *Vector) match(o *Vector) {
@@ -125,29 +123,58 @@ func (v *Vector) match(o *Vector) {
 }
 
 // PopCount returns the number of set bits (the 1-norm ‖v‖₁ of Eq. 16).
-func (v *Vector) PopCount() int {
-	c := 0
-	for _, w := range v.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
+func (v *Vector) PopCount() int { return PopCountWords(v.words) }
 
 // AndPopCount returns ‖v & o‖₁ without materialising the intersection.
 // The vectors must have equal length.
 func (v *Vector) AndPopCount(o *Vector) int {
 	v.match(o)
+	return AndPopCountWords(v.words, o.words)
+}
+
+// Any reports whether at least one bit is set.
+func (v *Vector) Any() bool { return AnyWords(v.words) }
+
+// Words returns the vector's packed words, bit i in word i/64 at
+// position i%64, with the unused high bits of the last word zero. The
+// slice aliases the vector: callers must treat it as read-only. It is
+// the word-level view the flat counting tables of the SR-SP
+// propagation read filter vectors through.
+func (v *Vector) Words() []uint64 { return v.words }
+
+// OrAndWords sets dst |= a & b word by word. a and b must be at least
+// as long as dst.
+func OrAndWords(dst, a, b []uint64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] |= a[i] & b[i]
+	}
+}
+
+// AndPopCountWords returns the number of bits set in both a and b. b
+// must be at least as long as a.
+func AndPopCountWords(a, b []uint64) int {
+	b = b[:len(a)]
 	c := 0
-	for i, w := range o.words {
-		c += bits.OnesCount64(v.words[i] & w)
+	for i, w := range a {
+		c += bits.OnesCount64(w & b[i])
 	}
 	return c
 }
 
-// Any reports whether at least one bit is set.
-func (v *Vector) Any() bool {
-	for _, w := range v.words {
-		if w != 0 {
+// PopCountWords returns the number of set bits in w.
+func PopCountWords(w []uint64) int {
+	c := 0
+	for _, x := range w {
+		c += bits.OnesCount64(x)
+	}
+	return c
+}
+
+// AnyWords reports whether any bit of w is set.
+func AnyWords(w []uint64) bool {
+	for _, x := range w {
+		if x != 0 {
 			return true
 		}
 	}

@@ -112,6 +112,7 @@ func (e *Engine) Clone() *Engine {
 		poolU:  fu,
 		poolV:  fv,
 		v2pool: e.v2pool, // scratch buffers are generic, share the warm pool
+		tables: e.tables,
 		gen:    e.gen,
 	}
 	// Same graph, same plan: share whatever the receiver has built.

@@ -147,6 +147,11 @@ type Engine struct {
 	v2plan atomic.Pointer[mc.Plan]
 	v2pool *parallel.BufferPool[*v2scratch]
 
+	// tables recycles SR-SP counting tables across queries. Like v2pool
+	// it is shared with clones and ApplyUpdates successors: a Tables
+	// adapts its buffers to whatever graph it is propagated over.
+	tables *parallel.BufferPool[*speedup.Tables]
+
 	// gen is the graph generation: 1 from NewEngine, predecessor+1 from
 	// ApplyUpdates. See Generation.
 	gen uint64
@@ -169,6 +174,7 @@ func NewEngine(g *ugraph.Graph, opt Options) (*Engine, error) {
 		pool:   parallel.NewPool(opt.Parallelism),
 		rows:   cache.New[int, []matrix.Vec](opt.RowCacheSize),
 		v2pool: newV2Pool(opt),
+		tables: parallel.NewBufferPool(2*opt.Parallelism+4, func() *speedup.Tables { return new(speedup.Tables) }),
 		gen:    1,
 	}, nil
 }
@@ -553,21 +559,25 @@ func (e *Engine) meetingSpeedupWith(p *parallel.Pool, u, v int) ([]float64, erro
 		return nil, err
 	}
 	fu, fv := e.pools()
-	var tu, tv *speedup.Tables
+	tu, tv := e.tables.Get(), e.tables.Get()
+	defer e.tables.Put(tu)
+	defer e.tables.Put(tv)
 	p.For(2, func(side int) {
 		if side == 0 {
-			tu = speedup.Propagate(fu, u, e.opt.Steps)
+			speedup.PropagateInto(fu, u, e.opt.Steps, tu)
 		} else {
-			tv = speedup.Propagate(fv, v, e.opt.Steps)
+			speedup.PropagateInto(fv, v, e.opt.Steps, tv)
 		}
 	})
 	// On a cancelled pool view For may have skipped a propagation,
-	// leaving tu/tv nil; surface the cancellation instead of handing
-	// nil tables to MeetingEstimates.
+	// leaving tu or tv holding an earlier query's tables; surface the
+	// cancellation instead of joining them.
 	if err := p.Err(); err != nil {
 		return nil, err
 	}
-	return speedup.MeetingEstimates(tu, tv), nil
+	m := make([]float64, e.opt.Steps+1)
+	speedup.MeetingEstimatesInto(tu, tv, m)
+	return m, nil
 }
 
 // SRSP computes ŝ(n)(u,v) with the two-phase algorithm whose sampling
@@ -612,17 +622,26 @@ func (e *Engine) SRSPMatrix(vertices []int) ([][]float64, error) {
 
 	// Phase 1: counting-table propagations, two independent tasks per
 	// vertex (u-side and v-side pools), fanned out over the worker pool.
-	// Each task writes only its own slot, so the fan-out is
+	// Each task writes only its own tables, so the fan-out is
 	// deterministic.
 	tabU := make([]*speedup.Tables, len(vertices))
 	tabV := make([]*speedup.Tables, len(vertices))
 	if l < n {
+		for i := range vertices {
+			tabU[i], tabV[i] = e.tables.Get(), e.tables.Get()
+		}
+		defer func() {
+			for i := range vertices {
+				e.tables.Put(tabU[i])
+				e.tables.Put(tabV[i])
+			}
+		}()
 		e.pool.For(2*len(vertices), func(t int) {
 			i := t / 2
 			if t%2 == 0 {
-				tabU[i] = speedup.Propagate(fu, vertices[i], n)
+				speedup.PropagateInto(fu, vertices[i], n, tabU[i])
 			} else {
-				tabV[i] = speedup.Propagate(fv, vertices[i], n)
+				speedup.PropagateInto(fv, vertices[i], n, tabV[i])
 			}
 		})
 	}

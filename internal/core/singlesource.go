@@ -60,11 +60,13 @@ func (e *Engine) singleSourceWith(p *parallel.Pool, alg Algorithm, u int, candid
 
 // SingleSourceAgainstInto is SingleSourceAgainst writing into a
 // caller-provided buffer (len(out) must equal len(candidates)) — the
-// form for callers that reuse result buffers across queries. For the
-// sampling strategies nothing else is allocated either: on a warmed
-// engine the whole AlgSamplingV2 path is allocation-free, the property
-// the allocation regression gate pins. Exact-row strategies still
-// allocate internally (rows, an error slot per candidate).
+// form for callers that reuse result buffers across queries. On a
+// warmed engine the whole AlgSamplingV2 path is allocation-free, the
+// property the allocation regression gate pins. AlgSRSP propagates
+// into pooled counting tables, so it allocates only an error slot and
+// two short m̂(k) slices per candidate (about 130 allocations for 64
+// candidates). AlgBaseline and AlgTwoPhase allocate exact rows on
+// row-cache misses, and AlgSampling allocates its walks.
 func (e *Engine) SingleSourceAgainstInto(alg Algorithm, u int, candidates []int, out []float64) error {
 	if len(out) != len(candidates) {
 		return fmt.Errorf("core: out length %d != candidate count %d", len(out), len(candidates))
@@ -235,7 +237,9 @@ func (e *Engine) srspKernel(p *parallel.Pool, u int, candidates []int, out []flo
 	if l < n {
 		fu, fvSide := e.pools()
 		fv = fvSide
-		tu = speedup.Propagate(fu, u, n)
+		tu = e.tables.Get()
+		defer e.tables.Put(tu) // For waits for every started task
+		speedup.PropagateInto(fu, u, n, tu)
 	}
 	p.For(len(candidates), func(i int) {
 		rv, err := e.exactRows(candidates[i], l)
@@ -245,7 +249,9 @@ func (e *Engine) srspKernel(p *parallel.Pool, u int, candidates []int, out []flo
 		}
 		var tv *speedup.Tables
 		if l < n {
-			tv = speedup.Propagate(fv, candidates[i], n)
+			tv = e.tables.Get()
+			defer e.tables.Put(tv)
+			speedup.PropagateInto(fv, candidates[i], n, tv)
 		}
 		out[i] = e.srspPair(ru, rv, tu, tv, l)
 	})

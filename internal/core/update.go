@@ -184,6 +184,7 @@ func (e *Engine) ApplyUpdates(updates []ugraph.ArcUpdate) (*Engine, *UpdateStats
 		// query; the scratch pool carries over — its buffers are sized by
 		// the options, not the graph.
 		v2pool: e.v2pool,
+		tables: e.tables,
 		poolU:  newPoolU,
 		poolV:  newPoolV,
 		gen:    e.gen + 1,

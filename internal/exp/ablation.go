@@ -14,7 +14,9 @@ import (
 )
 
 // AblationResult is a generic named-measurement container for the
-// ablation studies of DESIGN.md §5.
+// design ablation studies: SR-SP's departures from the Sampling
+// algorithm (the fidelity note of package speedup) and the
+// implementation choices of the exact and two-phase paths.
 type AblationResult struct {
 	Name   string
 	Values map[string]float64
@@ -105,10 +107,7 @@ func AblationChoicePolicy(cfg Config) (*AblationResult, error) {
 	for k := 1; k <= n; k++ {
 		for v := int32(0); v < int32(g.NumVertices()); v++ {
 			exact := rows[k].At(v)
-			fixed := 0.0
-			if vec, ok := tab.Levels[k][v]; ok {
-				fixed = float64(vec.PopCount()) / N
-			}
+			fixed := float64(tab.Count(k, v)) / N
 			devFixed += abs(fixed - exact)
 			devReroll += abs(walks[k][v] - exact)
 			count++

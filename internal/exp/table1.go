@@ -19,8 +19,11 @@ type Table1Result struct {
 	// EnumWalkPr is the possible-world enumeration oracle (Eq. 8).
 	EnumWalkPr float64
 	// PaperV1Alpha is the value Table I prints for α_W(v1) (0.64), which
-	// disagrees with Eq. 11 and with the enumeration oracle; see
-	// DESIGN.md.
+	// disagrees with Eq. 11 and with the enumeration oracle: both give
+	// P(v1,v3) = 0.8, because an arc exists or not once per world however
+	// often the walk uses it. 0.64 = 0.8² is what the independence
+	// assumption the paper (PAPER.md) refutes would give, so it is read
+	// as a typo.
 	PaperV1Alpha float64
 }
 

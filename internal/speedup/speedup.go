@@ -7,20 +7,26 @@
 // probability estimate is then m̂(k) = ‖M_w[k] ∧ M'_w[k]‖₁ / N summed
 // over vertices (Eq. 16).
 //
-// Fidelity note (also recorded in DESIGN.md): filter vectors fix one
-// out-choice per (vertex, process), so a walk that revisits a vertex
-// repeats its earlier choice, whereas the Sampling algorithm re-rolls the
-// uniform choice on every visit. The two coincide whenever walks cannot
-// revisit a vertex within n steps (girth > n) and are statistically
-// indistinguishable on the sparse graphs of the evaluation; the ablation
-// benchmarks quantify the difference on loopy graphs. The paper also
-// shares one filter pool between the u-side and the v-side; NewEstimator
-// takes two pools so callers choose shared (paper-faithful) or
-// independent (matches the Sampling algorithm's independence) pairing.
+// Fidelity note. This is the repository's record of where SR-SP departs
+// from the Sampling algorithm; the design ablations in internal/exp
+// (AblationSharedFilters, AblationChoicePolicy) measure both points.
+//
+//   - Fixed choices. Filter vectors fix one out-choice per (vertex,
+//     process), so a walk that revisits a vertex repeats its earlier
+//     choice, whereas the Sampling algorithm re-rolls the uniform choice
+//     on every visit. The two coincide whenever walks cannot revisit a
+//     vertex within n steps (girth > n) and are statistically
+//     indistinguishable on the sparse graphs of the evaluation;
+//     AblationChoicePolicy quantifies the difference on a loopy graph.
+//   - Shared pool. The paper shares one filter pool between the u-side
+//     and the v-side; Estimate takes two pools so callers choose shared
+//     (paper-faithful) or independent (matches the Sampling algorithm's
+//     independence) pairing. AblationSharedFilters measures the bias.
 package speedup
 
 import (
 	"fmt"
+	"slices"
 
 	"usimrank/internal/bitvec"
 	"usimrank/internal/parallel"
@@ -144,82 +150,194 @@ func PatchFilters(old *Filters, newG *ugraph.Graph, touched []int32, pool *paral
 // uses it.
 func (f *Filters) Arc(id int32) *bitvec.Vector { return f.arc[id] }
 
-// Tables holds the counting tables of one source vertex: Level[k][w] is
-// the N-bit vector M_w[k] whose i-th bit says "process i's walk is at w
-// after k steps".
+// Tables holds the counting tables of one source vertex: M_w[k], the
+// N-bit vector whose i-th bit says "process i's walk is at w after k
+// steps", for k = 0..Steps and every w in U(k), the vertices some
+// process occupies at step k. Each level is stored flat: its vertices
+// in ascending order and one word arena holding their vectors back to
+// back, ⌈N/64⌉ words apiece. The zero value is ready for PropagateInto;
+// reusing a Tables reuses every buffer, so a warmed one propagates
+// without allocating.
 type Tables struct {
-	Src    int32
-	Steps  int
-	N      int
-	Levels []map[int32]*bitvec.Vector
+	Src   int32
+	Steps int
+	N     int
+
+	stride int        // words per vector, ⌈N/64⌉
+	verts  [][]int32  // verts[k] = U(k), ascending
+	words  [][]uint64 // words[k][i*stride:(i+1)*stride] = M_{verts[k][i]}[k]
 }
 
+// Vertices returns U(k) in ascending order. The slice aliases t.
+func (t *Tables) Vertices(k int) []int32 { return t.verts[k] }
+
+// Row returns the words of M_w[k] (see bitvec.Vector.Words), or nil
+// when no process is at w after k steps. The slice aliases t.
+func (t *Tables) Row(k int, w int32) []uint64 {
+	i, ok := slices.BinarySearch(t.verts[k], w)
+	if !ok {
+		return nil
+	}
+	return t.words[k][i*t.stride : (i+1)*t.stride]
+}
+
+// Count returns ‖M_w[k]‖₁, the number of processes at w after k steps.
+func (t *Tables) Count(k int, w int32) int { return bitvec.PopCountWords(t.Row(k, w)) }
+
+// scratch is the per-propagation working state: the level being built
+// in discovery order, and a |V|-sized index from a vertex to its row in
+// that level, valid where stamp[x] == gen. Bumping gen clears the index
+// in O(1), so reusing a scratch costs nothing per level.
+type scratch struct {
+	verts []int32
+	words []uint64
+	slot  []int32
+	stamp []uint32
+	gen   uint32
+}
+
+// scratchPool recycles scratches across propagations and goroutines; a
+// scratch is held only for the duration of one PropagateInto call.
+// Unlike a sync.Pool it is never drained, so a warmed process stays
+// allocation-free.
+var scratchPool = parallel.NewBufferPool(0, func() *scratch { return new(scratch) })
+
 // Propagate runs the BFS-sharing propagation of Fig. 5 from src for n
-// steps using the filter pool f.
+// steps using the filter pool f, returning freshly allocated tables.
 func Propagate(f *Filters, src int, n int) *Tables {
+	t := new(Tables)
+	PropagateInto(f, src, n, t)
+	return t
+}
+
+// PropagateInto is Propagate writing into t, whose previous contents
+// are overwritten and whose buffers are reused. Levels are built
+// vertex by vertex: OR is commutative, so the vectors are identical to
+// any other visiting order, and all-zero vectors are dropped so U(k+1)
+// holds only reached vertices.
+func PropagateInto(f *Filters, src int, n int, t *Tables) {
 	g := f.g
-	if src < 0 || src >= g.NumVertices() {
-		panic(fmt.Sprintf("speedup: source %d out of range [0,%d)", src, g.NumVertices()))
+	nv := g.NumVertices()
+	if src < 0 || src >= nv {
+		panic(fmt.Sprintf("speedup: source %d out of range [0,%d)", src, nv))
 	}
 	if n < 0 {
 		panic(fmt.Sprintf("speedup: negative step count %d", n))
 	}
-	t := &Tables{Src: int32(src), Steps: n, N: f.N, Levels: make([]map[int32]*bitvec.Vector, n+1)}
-	start := bitvec.New(f.N)
-	start.SetAll()
-	t.Levels[0] = map[int32]*bitvec.Vector{int32(src): start}
+	s := (f.N + 63) / 64
+	t.Src, t.Steps, t.N, t.stride = int32(src), n, f.N, s
+	// Reslicing within capacity keeps the buffers of earlier, deeper
+	// propagations for reuse.
+	t.verts = slices.Grow(t.verts[:0], n+1)[:n+1]
+	t.words = slices.Grow(t.words[:0], n+1)[:n+1]
+
+	t.verts[0] = append(t.verts[0][:0], int32(src))
+	start := slices.Grow(t.words[0][:0], s)[:s]
+	for i := range start {
+		start[i] = ^uint64(0)
+	}
+	if rem := uint(f.N) & 63; rem != 0 {
+		start[s-1] = 1<<rem - 1
+	}
+	t.words[0] = start
+
+	sc := scratchPool.Get()
+	defer scratchPool.Put(sc)
+	if len(sc.stamp) < nv {
+		sc.slot = make([]int32, nv)
+		sc.stamp = make([]uint32, nv)
+		sc.gen = 0
+	}
 	for k := 0; k < n; k++ {
-		next := make(map[int32]*bitvec.Vector)
-		for w, mw := range t.Levels[k] {
+		if sc.gen++; sc.gen == 0 { // wrapped: stale stamps could match
+			clear(sc.stamp)
+			sc.gen = 1
+		}
+		bv, bw := sc.verts[:0], sc.words[:0]
+		cur := t.words[k]
+		for i, w := range t.verts[k] {
+			mw := cur[i*s : (i+1)*s]
 			lo, hi := g.ArcRange(int(w))
+			out := g.Out(int(w))
 			for id := lo; id < hi; id++ {
 				fe := f.arc[id]
 				if fe == nil {
 					continue
 				}
-				x := g.Out(int(w))[id-lo]
-				mx := next[x]
-				if mx == nil {
-					mx = bitvec.New(f.N)
-					next[x] = mx
+				x := out[id-lo]
+				if sc.stamp[x] != sc.gen {
+					sc.stamp[x] = sc.gen
+					sc.slot[x] = int32(len(bv))
+					bv = append(bv, x)
+					end := len(bw) + s
+					bw = slices.Grow(bw, s)[:end]
+					clear(bw[end-s:])
 				}
-				mx.OrAnd(mw, fe)
+				at := int(sc.slot[x]) * s
+				bitvec.OrAndWords(bw[at:at+s], mw, fe.Words())
 			}
 		}
-		// Drop all-zero vectors so U(k+1) holds only reachable vertices.
-		for x, mx := range next {
-			if !mx.Any() {
-				delete(next, x)
+		// Emit U(k+1) sorted by vertex, without its all-zero vectors.
+		slices.Sort(bv)
+		kept := bv[:0]
+		for _, x := range bv {
+			at := int(sc.slot[x]) * s
+			if bitvec.AnyWords(bw[at : at+s]) {
+				kept = append(kept, x)
 			}
 		}
-		t.Levels[k+1] = next
+		nextV := append(t.verts[k+1][:0], kept...)
+		nextW := slices.Grow(t.words[k+1][:0], len(kept)*s)
+		for _, x := range kept {
+			at := int(sc.slot[x]) * s
+			nextW = append(nextW, bw[at:at+s]...)
+		}
+		t.verts[k+1], t.words[k+1] = nextV, nextW
+		sc.verts, sc.words = bv, bw
 	}
-	return t
 }
 
 // MeetingEstimates computes m̂(k) for k = 0..Steps per Eq. 16 from the
 // counting tables of the two sources. The tables must have equal N and
 // Steps.
 func MeetingEstimates(a, b *Tables) []float64 {
+	m := make([]float64, a.Steps+1)
+	MeetingEstimatesInto(a, b, m)
+	return m
+}
+
+// MeetingEstimatesInto is MeetingEstimates writing into m, which must
+// have length Steps+1. Each level is a merge-join of the two sorted
+// vertex lists with one and-popcount per shared vertex; the popcounts
+// are integer sums, so the estimates do not depend on the join order.
+// It only reads the tables, so one Tables may be joined against many
+// others concurrently.
+func MeetingEstimatesInto(a, b *Tables, m []float64) {
 	if a.N != b.N || a.Steps != b.Steps {
 		panic("speedup: mismatched tables")
 	}
-	m := make([]float64, a.Steps+1)
-	for k := 0; k <= a.Steps; k++ {
-		la, lb := a.Levels[k], b.Levels[k]
-		// Iterate the smaller map.
-		if len(lb) < len(la) {
-			la, lb = lb, la
-		}
+	if len(m) != a.Steps+1 {
+		panic(fmt.Sprintf("speedup: estimate buffer length %d, want %d", len(m), a.Steps+1))
+	}
+	s := a.stride
+	for k := range m {
+		va, vb := a.verts[k], b.verts[k]
+		wa, wb := a.words[k], b.words[k]
 		total := 0
-		for w, va := range la {
-			if vb, ok := lb[w]; ok {
-				total += va.AndPopCount(vb)
+		for i, j := 0, 0; i < len(va) && j < len(vb); {
+			switch {
+			case va[i] < vb[j]:
+				i++
+			case va[i] > vb[j]:
+				j++
+			default:
+				total += bitvec.AndPopCountWords(wa[i*s:(i+1)*s], wb[j*s:(j+1)*s])
+				i++
+				j++
 			}
 		}
 		m[k] = float64(total) / float64(a.N)
 	}
-	return m
 }
 
 // Estimate runs the full pipeline for a pair of sources: propagate from u

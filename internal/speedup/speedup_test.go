@@ -1,9 +1,12 @@
 package speedup
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"usimrank/internal/bitvec"
 	"usimrank/internal/mc"
 	"usimrank/internal/rng"
 	"usimrank/internal/ugraph"
@@ -76,12 +79,11 @@ func TestPropagateDeterministicPath(t *testing.T) {
 	tab := Propagate(f, 0, 6)
 	wantAt := []int32{0, 1, 2, 0, 1, 2, 0}
 	for k := 0; k <= 6; k++ {
-		lvl := tab.Levels[k]
+		lvl := tab.Vertices(k)
 		if len(lvl) != 1 {
 			t.Fatalf("level %d has %d vertices", k, len(lvl))
 		}
-		vec, ok := lvl[wantAt[k]]
-		if !ok || vec.PopCount() != N {
+		if lvl[0] != wantAt[k] || tab.Count(k, wantAt[k]) != N {
 			t.Fatalf("level %d: expected all bits at %d", k, wantAt[k])
 		}
 	}
@@ -96,15 +98,12 @@ func TestPropagateDeadProcessesDisappear(t *testing.T) {
 	const N = 20000
 	f := BuildFilters(g, N, rng.New(11))
 	tab := Propagate(f, 0, 2)
-	alive := 0
-	if v := tab.Levels[1][1]; v != nil {
-		alive = v.PopCount()
-	}
+	alive := tab.Count(1, 1)
 	if math.Abs(float64(alive)/N-0.5) > 0.02 {
 		t.Fatalf("survivors %v, want ≈0.5", float64(alive)/N)
 	}
-	if len(tab.Levels[2]) != 0 {
-		t.Fatalf("level 2 should be empty, has %d vertices", len(tab.Levels[2]))
+	if len(tab.Vertices(2)) != 0 {
+		t.Fatalf("level 2 should be empty, has %d vertices", len(tab.Vertices(2)))
 	}
 }
 
@@ -180,8 +179,8 @@ func TestSharedPoolSelfPairIsDegenerate(t *testing.T) {
 	for k := 0; k <= n; k++ {
 		tab := Propagate(f, 2, n)
 		survive := 0
-		for _, vec := range tab.Levels[k] {
-			survive += vec.PopCount()
+		for _, w := range tab.Vertices(k) {
+			survive += tab.Count(k, w)
 		}
 		want := float64(survive) / N
 		if math.Abs(m[k]-want) > 1e-12 {
@@ -226,12 +225,17 @@ func TestBuildFiltersPanicsOnBadN(t *testing.T) {
 	BuildFilters(ugraph.PaperFig1(), 0, rng.New(1))
 }
 
+// BenchmarkPropagateFig1 times one propagation into reused tables, the
+// form every engine path uses. CI pins it at 0 allocs/op.
 func BenchmarkPropagateFig1(b *testing.B) {
 	g := ugraph.PaperFig1()
 	f := BuildFilters(g, 1000, rng.New(1))
+	var tab Tables
+	PropagateInto(f, 0, 5, &tab) // warm the buffers
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Propagate(f, 0, 5)
+		PropagateInto(f, 0, 5, &tab)
 	}
 }
 
@@ -325,4 +329,234 @@ func TestPatchFiltersPanicsOnUnmarkedRowChange(t *testing.T) {
 		}
 	}()
 	PatchFilters(old, newG, nil, nil) // vertex 0 grew a row arc but is not marked
+}
+
+// refTables is the map-of-vectors layout the flat Tables replaced:
+// levels[k][w] = M_w[k]. It survives here only as the reference oracle
+// the flat layout is pinned against, bit for bit.
+type refTables struct {
+	n      int
+	levels []map[int32]*bitvec.Vector
+}
+
+// refPropagate is the original map-based Fig. 5 propagation.
+func refPropagate(f *Filters, src, n int) refTables {
+	g := f.g
+	t := refTables{n: f.N, levels: make([]map[int32]*bitvec.Vector, n+1)}
+	start := bitvec.New(f.N)
+	start.SetAll()
+	t.levels[0] = map[int32]*bitvec.Vector{int32(src): start}
+	for k := 0; k < n; k++ {
+		next := make(map[int32]*bitvec.Vector)
+		for w, mw := range t.levels[k] {
+			lo, hi := g.ArcRange(int(w))
+			for id := lo; id < hi; id++ {
+				fe := f.arc[id]
+				if fe == nil {
+					continue
+				}
+				x := g.Out(int(w))[id-lo]
+				mx := next[x]
+				if mx == nil {
+					mx = bitvec.New(f.N)
+					next[x] = mx
+				}
+				mx.OrAnd(mw, fe)
+			}
+		}
+		for x, mx := range next {
+			if !mx.Any() {
+				delete(next, x)
+			}
+		}
+		t.levels[k+1] = next
+	}
+	return t
+}
+
+// refMeetingEstimates is the original map-based Eq. 16 combination.
+func refMeetingEstimates(a, b refTables) []float64 {
+	m := make([]float64, len(a.levels))
+	for k := range m {
+		la, lb := a.levels[k], b.levels[k]
+		if len(lb) < len(la) {
+			la, lb = lb, la
+		}
+		total := 0
+		for w, va := range la {
+			if vb, ok := lb[w]; ok {
+				total += va.AndPopCount(vb)
+			}
+		}
+		m[k] = float64(total) / float64(a.n)
+	}
+	return m
+}
+
+// checkTables asserts got holds exactly the reference tables: the same
+// vertex set per level, in ascending order, with identical words.
+func checkTables(t *testing.T, tag string, got *Tables, want refTables) {
+	t.Helper()
+	if got.Steps != len(want.levels)-1 || got.N != want.n {
+		t.Fatalf("%s: shape Steps=%d N=%d, want %d/%d", tag, got.Steps, got.N, len(want.levels)-1, want.n)
+	}
+	for k, lvl := range want.levels {
+		keys := make([]int32, 0, len(lvl))
+		for w := range lvl {
+			keys = append(keys, w)
+		}
+		slices.Sort(keys)
+		if !slices.Equal(got.Vertices(k), keys) {
+			t.Fatalf("%s: level %d vertices %v, want %v", tag, k, got.Vertices(k), keys)
+		}
+		for _, w := range keys {
+			if !slices.Equal(got.Row(k, w), lvl[w].Words()) {
+				t.Fatalf("%s: level %d vertex %d words differ", tag, k, w)
+			}
+			if got.Count(k, w) != lvl[w].PopCount() {
+				t.Fatalf("%s: level %d vertex %d count %d, want %d", tag, k, w, got.Count(k, w), lvl[w].PopCount())
+			}
+		}
+		if got.Row(k, -1) != nil || got.Count(k, -1) != 0 {
+			t.Fatalf("%s: level %d reports a row for an absent vertex", tag, k)
+		}
+	}
+}
+
+// randomLoopyGraph draws a graph with short cycles, self-loops and a
+// high-degree hub (dense in both directions, with a self-loop), so
+// walks revisit vertices within a few steps and the fixed-choice
+// revisit path of the filter vectors runs.
+func randomLoopyGraph(r *rng.RNG) *ugraph.Graph {
+	nv := 2 + r.Intn(30)
+	hub := r.Intn(nv)
+	b := ugraph.NewBuilder(nv)
+	for u := 0; u < nv; u++ {
+		for v := 0; v < nv; v++ {
+			density := 0.12
+			if u == hub || v == hub {
+				density = 0.8
+			}
+			if (u == hub && v == hub) || r.Bool(density) {
+				b.AddArc(u, v, 0.05+0.95*r.Float64())
+			}
+		}
+	}
+	return b.MustBuild()
+}
+
+// mutate applies a random batch of inserts, deletes and reweights and
+// returns the mutated graph with the vertices whose out-row changed.
+func mutate(t *testing.T, g *ugraph.Graph, r *rng.RNG) (*ugraph.Graph, []int32) {
+	t.Helper()
+	n := g.NumVertices()
+	d := ugraph.NewDelta(g)
+	touched := map[int32]bool{}
+	for i := 0; i < 1+r.Intn(4); i++ {
+		u, v := r.Intn(n), r.Intn(n)
+		up := ugraph.ArcUpdate{Op: ugraph.OpInsert, U: u, V: v, P: 0.05 + 0.95*r.Float64()}
+		if d.Prob(u, v) > 0 {
+			up.Op = ugraph.OpReweight
+			if r.Bool(0.5) {
+				up = ugraph.ArcUpdate{Op: ugraph.OpDelete, U: u, V: v}
+			}
+		}
+		if err := d.Stage(up); err != nil {
+			t.Fatal(err)
+		}
+		touched[int32(u)] = true
+	}
+	var hs []int32
+	for w := range touched {
+		hs = append(hs, w)
+	}
+	return d.Compact(), hs
+}
+
+// TestFlatTablesMatchMapReference pins the flat counting tables and the
+// merge-join estimates against the map-based reference, bit for bit:
+// random loopy graphs, N straddling word boundaries, steps 0-7, shared
+// and independent pools, and pools derived through PatchFilters. One
+// Tables is also reused across every shape, so stale buffers from a
+// deeper, wider or larger-graph propagation must never leak.
+func TestFlatTablesMatchMapReference(t *testing.T) {
+	r := rng.New(2024)
+	var reused, reusedV Tables
+	for trial := 0; trial < 10; trial++ {
+		g := randomLoopyGraph(r)
+		nv := g.NumVertices()
+		for _, N := range []int{1, 63, 64, 65, 1000} {
+			seed := r.Uint64()
+			shared := BuildFilters(g, N, rng.New(seed))
+			indep := BuildFilters(g, N, rng.New(seed+1))
+			newG, touched := mutate(t, g, r)
+			type pair struct {
+				name   string
+				fu, fv *Filters
+			}
+			pools := []pair{
+				{"shared", shared, shared},
+				{"independent", shared, indep},
+				{"patched-shared", PatchFilters(shared, newG, touched, nil), nil},
+				{"patched-independent", PatchFilters(shared, newG, touched, nil), PatchFilters(indep, newG, touched, nil)},
+			}
+			pools[2].fv = pools[2].fu
+			for _, pl := range pools {
+				for steps := 0; steps <= 7; steps++ {
+					u, v := r.Intn(nv), r.Intn(nv)
+					tag := fmt.Sprintf("trial %d N=%d %s steps=%d (%d,%d)", trial, N, pl.name, steps, u, v)
+					ru, rv := refPropagate(pl.fu, u, steps), refPropagate(pl.fv, v, steps)
+					tu, tv := Propagate(pl.fu, u, steps), Propagate(pl.fv, v, steps)
+					checkTables(t, tag+" fresh u", tu, ru)
+					checkTables(t, tag+" fresh v", tv, rv)
+					PropagateInto(pl.fu, u, steps, &reused)
+					PropagateInto(pl.fv, v, steps, &reusedV)
+					checkTables(t, tag+" reused u", &reused, ru)
+					checkTables(t, tag+" reused v", &reusedV, rv)
+
+					want := refMeetingEstimates(ru, rv)
+					got := MeetingEstimates(tu, tv)
+					into := make([]float64, steps+1)
+					MeetingEstimatesInto(&reused, &reusedV, into)
+					for k := range want {
+						if math.Float64bits(got[k]) != math.Float64bits(want[k]) ||
+							math.Float64bits(into[k]) != math.Float64bits(want[k]) {
+							t.Fatalf("%s: m̂(%d) = %v / %v (reused), reference %v", tag, k, got[k], into[k], want[k])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPropagateIntoAllocationFree pins the steady state the engine's
+// pooled tables rely on: propagating into a warmed Tables and joining
+// two of them allocate nothing.
+func TestPropagateIntoAllocationFree(t *testing.T) {
+	g := randomLoopyGraph(rng.New(5))
+	f := BuildFilters(g, 1000, rng.New(6))
+	var a, b Tables
+	m := make([]float64, 6)
+	PropagateInto(f, 0, 5, &a)
+	PropagateInto(f, 1, 5, &b)
+	allocs := testing.AllocsPerRun(100, func() {
+		PropagateInto(f, 0, 5, &a)
+		PropagateInto(f, 1, 5, &b)
+		MeetingEstimatesInto(&a, &b, m)
+	})
+	if allocs != 0 {
+		t.Fatalf("PropagateInto + MeetingEstimatesInto on reused tables: %v allocs/run, want 0", allocs)
+	}
+}
+
+func TestMeetingEstimatesIntoBadLengthPanics(t *testing.T) {
+	f := BuildFilters(ugraph.PaperFig1(), 8, rng.New(1))
+	a, b := Propagate(f, 0, 2), Propagate(f, 1, 2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("short estimate buffer accepted")
+		}
+	}()
+	MeetingEstimatesInto(a, b, make([]float64, 2))
 }
