@@ -2,7 +2,7 @@
 # commands; the targets here exist so the local invocations and the
 # gate's inputs cannot drift apart.
 
-.PHONY: build test race check bench-baseline
+.PHONY: build test race check loc bench-baseline
 
 build:
 	go build ./...
@@ -11,12 +11,22 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/core ./internal/parallel ./internal/topk ./internal/cache ./internal/server ./internal/cluster ./internal/sub
+	go test -race ./internal/core ./internal/parallel ./internal/topk ./internal/cache ./internal/server ./internal/cluster ./internal/obs ./internal/sub
 
 check: build
 	go vet ./...
 	gofmt -l .
 	go test ./...
+
+# Non-test Go lines per package directory of the root module, plus the
+# total: the simplicity metric ROADMAP tracks. perfbench/ is a separate
+# module and is not counted.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 wc -l \
+		| awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' \
+		| sort -k2
 
 # Refresh the committed long-horizon perf baseline. The bench-gate CI
 # job compares BENCH_BASELINE.json against every PR's head run (via

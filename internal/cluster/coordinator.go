@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"os"
 	"sort"
@@ -50,8 +49,7 @@ type Config struct {
 	AdmissionWait time.Duration
 	// AdmissionReserve carves this many of MaxInFlight's slots into a
 	// reserve only adaptive (eps-bearing) queries may use when the
-	// general pool is saturated — the coordinator-side twin of the node
-	// server's reserve. Default 0 (no reserve).
+	// general pool is saturated, as on a node. Default 0 (no reserve).
 	AdmissionReserve int
 	// AdminProbes is how many times a skewed admin fan-out re-probes
 	// shard generations (AdminProbeWait apart) before reporting a
@@ -122,10 +120,9 @@ type clusterState struct {
 
 // Coordinator scatter-gathers the five query shapes over a fleet of
 // ordinary usimd shard nodes and merges the answers deterministically
-// (see doc.go for the shard-map and merge contracts). It reuses the
-// single-node serving machinery — request coalescing, admission
-// control, latency histograms (kept per shape and per downstream
-// shard) — and serialises admin mutations exactly like a single node.
+// (see doc.go for the shard-map and merge contracts). Its queries run
+// through the node's own pipeline (server.Executor), and it serialises
+// admin mutations like a node.
 type Coordinator struct {
 	cfg    Config
 	shards *ShardMap
@@ -139,9 +136,10 @@ type Coordinator struct {
 	// prevent.
 	adminMu sync.Mutex
 
-	adm     *server.Admission
-	flights *server.FlightGroup
-	metrics *server.MetricsRegistry
+	// exec is the query pipeline shared with the node server:
+	// admission, coalescing, deadlines, metrics (kept per shape and per
+	// downstream shard).
+	exec *server.Executor
 
 	// subs tracks live relay streams: active count for stats, shutdown
 	// broadcast and drain for graceful exit. Vertex-level wake filtering
@@ -187,12 +185,21 @@ func New(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	co := &Coordinator{
-		cfg:     cfg,
-		shards:  sm,
-		client:  NewClient(cfg.Shards, cfg.HTTPClient, cfg.ShardTimeout, cfg.HedgeDelay),
-		adm:     server.NewTieredAdmission(cfg.MaxInFlight, cfg.AdmissionReserve, cfg.AdmissionWait),
-		flights: server.NewFlightGroup(),
-		metrics: server.NewMetricsRegistry(),
+		cfg:    cfg,
+		shards: sm,
+		client: NewClient(cfg.Shards, cfg.HTTPClient, cfg.ShardTimeout, cfg.HedgeDelay),
+		exec: &server.Executor{
+			Plane:        "coordinator",
+			Admission:    server.NewTieredAdmission(cfg.MaxInFlight, cfg.AdmissionReserve, cfg.AdmissionWait),
+			Flights:      server.NewFlightGroup(),
+			Metrics:      server.NewMetricsRegistry(),
+			Ctx:          ctx,
+			QueryTimeout: cfg.QueryTimeout,
+			MaxInFlight:  cfg.MaxInFlight,
+			SlowQuery:    cfg.SlowQuery,
+			LogJSON:      cfg.LogJSON,
+			Logger:       cfg.Logger,
+		},
 		subs:    sub.NewRegistry(),
 		baseCtx: ctx,
 		cancel:  cancel,
@@ -222,9 +229,7 @@ func New(cfg Config) (*Coordinator, error) {
 	co.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusNotFound, server.CodeNotFound, "unknown route "+r.URL.Path)
 	})
-	if cfg.LogEvery > 0 {
-		go co.logLoop()
-	}
+	co.exec.LogEvery(cfg.LogEvery, co.logStats)
 	return co, nil
 }
 
@@ -335,152 +340,16 @@ func (co *Coordinator) probeAll(ctx context.Context) []probedHealth {
 
 // ---- query plumbing ----------------------------------------------------
 
-// readBody reads a bounded request body for decode-then-relay.
-func (co *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
+// readJSON reads a bounded request body for decode-then-relay and
+// decodes it with the node's strict decoder, so the coordinator 400s
+// exactly where a shard would. It returns the raw bytes to relay.
+func readJSON(w http.ResponseWriter, r *http.Request, into any) ([]byte, bool) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, "bad request body: "+err.Error())
 		return nil, false
 	}
-	return b, true
-}
-
-// decodeStrict mirrors the single node's strict JSON decoding
-// (unknown fields rejected) so the coordinator 400s exactly where a
-// shard would.
-func decodeStrict(w http.ResponseWriter, raw []byte, into any) bool {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, "bad JSON body: "+err.Error())
-		return false
-	}
-	return true
-}
-
-func (co *Coordinator) effectiveTimeout(ms int) time.Duration {
-	d := time.Duration(ms) * time.Millisecond
-	if d <= 0 || d > co.cfg.QueryTimeout {
-		return co.cfg.QueryTimeout
-	}
-	return d
-}
-
-// traceFor arms tracing for a request when any consumer exists: an
-// incoming Usimrank-Trace header, the debug flag, or a configured
-// slow-query threshold. Otherwise it returns (nil, zero Span) and the
-// request records nothing.
-func (co *Coordinator) traceFor(r *http.Request, shape string, debug bool) (*obs.Trace, obs.Span) {
-	hdr := r.Header.Get(obs.TraceHeader)
-	if hdr == "" && !debug && co.cfg.SlowQuery <= 0 {
-		return nil, obs.Span{}
-	}
-	id, parent, _ := obs.ParseTraceHeader(hdr)
-	tr := obs.NewTrace(id, parent)
-	return tr, tr.Start(shape)
-}
-
-// debugKey forks a flight key for debug requests, exactly like the
-// single node: a debug leader's relayed or merged response carries a
-// profile a non-debug follower must never receive, and a debug
-// follower behind a non-debug leader would get none.
-func debugKey(key string, debug bool) string {
-	if debug {
-		return key + "|dbg"
-	}
-	return key
-}
-
-// adaptiveKey appends an eps-bearing request's accuracy target to its
-// flight key, exactly like the single node: adaptive and full-budget
-// queries (and different targets) must never share a flight.
-func adaptiveKey(key string, eps, delta float64) string {
-	if eps <= 0 {
-		return key
-	}
-	return fmt.Sprintf("%s|e%x|d%x", key, math.Float64bits(eps), math.Float64bits(delta))
-}
-
-// execute runs one admitted, coalesced, deadline-bounded scatter and
-// writes the error response when it fails — the coordinator-side twin
-// of the single node's execute, with downstream fan-out in place of an
-// engine call. When this request leads its flight, the scatter span
-// rides the flight context into the fan-out, so per-shard and
-// per-attempt spans (and the shards' own remote profiles) nest under
-// it.
-//
-// cheap marks a degradable (adaptive eps-bearing) query eligible for
-// the admission reserve tier; followers release their slot while
-// idling on the leader's result, exactly like the node server.
-func (co *Coordinator) execute(w http.ResponseWriter, r *http.Request, shape, alg string, timeoutMs int, cheap bool, key string, tr *obs.Trace, root obs.Span, fn func(ctx context.Context) (any, error)) (any, bool, bool) {
-	if tr != nil {
-		w.Header().Set(obs.TraceHeader, tr.ID())
-	}
-	timeout := co.effectiveTimeout(timeoutMs)
-	key = fmt.Sprintf("%s|t%d", key, timeout.Milliseconds())
-	waitCtx, cancelWait := context.WithTimeout(r.Context(), timeout)
-	defer cancelWait()
-
-	asp := root.Start("admission_wait")
-	release := co.adm.AcquireTier(waitCtx, cheap)
-	if release == nil {
-		asp.Error(errors.New("admission rejected"))
-		asp.End()
-		co.metrics.AdmissionRejected.Add(1)
-		w.Header().Set("Retry-After", server.RetryAfterSeconds(co.adm.Wait()))
-		server.WriteError(w, http.StatusTooManyRequests, server.CodeOverloaded,
-			fmt.Sprintf("coordinator saturated: %d queries in flight", co.cfg.MaxInFlight))
-		return nil, false, false
-	}
-	asp.End()
-	co.metrics.InFlight.Add(1)
-	var relOnce sync.Once
-	releaseSlot := func() {
-		relOnce.Do(func() {
-			co.metrics.InFlight.Add(-1)
-			release()
-		})
-	}
-	defer releaseSlot()
-
-	start := time.Now()
-	csp := root.Start("coalesce")
-	val, coalesced, err := co.flights.Do(waitCtx, key, releaseSlot, func() func() (any, error) {
-		fctx, cancelFlight := context.WithTimeout(co.baseCtx, timeout)
-		sct := root.Start("scatter")
-		fctx = obs.ContextWithSpan(fctx, sct)
-		return func() (any, error) {
-			defer sct.End()
-			defer cancelFlight()
-			return fn(fctx)
-		}
-	})
-	if csp.Enabled() {
-		var lead int64
-		if !coalesced {
-			lead = 1
-		}
-		csp.Add("leader", lead)
-	}
-	csp.End()
-	elapsed := time.Since(start)
-	// A disconnected client's cancellation is not a serving error: count
-	// it on its own counter and skip the write (see the node server).
-	if err != nil && errors.Is(err, context.Canceled) && r.Context().Err() != nil {
-		co.metrics.ClientGone.Add(1)
-		co.metrics.RecordQuery(shape, alg, elapsed, coalesced, nil)
-		root.Error(err)
-		server.LogSlowQuery(co.cfg.Logger, co.cfg.LogJSON, co.cfg.SlowQuery, shape, alg, tr, elapsed, coalesced, err)
-		return nil, coalesced, false
-	}
-	co.metrics.RecordQuery(shape, alg, elapsed, coalesced, err)
-	root.Error(err)
-	server.LogSlowQuery(co.cfg.Logger, co.cfg.LogJSON, co.cfg.SlowQuery, shape, alg, tr, elapsed, coalesced, err)
-	if err != nil {
-		co.writeClusterError(w, err)
-		return nil, coalesced, false
-	}
-	return val, coalesced, true
+	return raw, server.DecodeJSON(w, bytes.NewReader(raw), into)
 }
 
 // maxSourcesPerChunk bounds one coordinator-built sources array. A
@@ -519,13 +388,12 @@ func (co *Coordinator) writeClusterError(w http.ResponseWriter, err error) {
 		if allCanceled(se) {
 			// Pure cancellation fallout (coordinator shutdown, client
 			// gone) is not the shard's fault — don't blame one.
-			server.WriteError(w, http.StatusServiceUnavailable, server.CodeUnavailable,
-				"query cancelled (client disconnected or coordinator shutting down)")
+			co.exec.WriteQueryError(w, context.Canceled)
 			return
 		}
 		detail := server.ErrorDetail{Message: se.Error(), Shard: shardName(se.Shard)}
 		if se.AllDeadline() {
-			co.metrics.DeadlineExceeded.Add(1)
+			co.exec.Metrics.DeadlineExceeded.Add(1)
 			detail.Code = server.CodeDeadlineExceeded
 			server.WriteJSON(w, http.StatusGatewayTimeout, server.ErrorResponse{Error: detail})
 			return
@@ -534,17 +402,7 @@ func (co *Coordinator) writeClusterError(w http.ResponseWriter, err error) {
 		server.WriteJSON(w, http.StatusBadGateway, server.ErrorResponse{Error: detail})
 		return
 	}
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		co.metrics.DeadlineExceeded.Add(1)
-		server.WriteError(w, http.StatusGatewayTimeout, server.CodeDeadlineExceeded,
-			"query exceeded its deadline; raise timeout_ms or the coordinator's -timeout")
-	case errors.Is(err, context.Canceled):
-		server.WriteError(w, http.StatusServiceUnavailable, server.CodeUnavailable,
-			"query cancelled (client disconnected or coordinator shutting down)")
-	default:
-		server.WriteError(w, http.StatusInternalServerError, server.CodeEngineError, err.Error())
-	}
+	co.exec.WriteQueryError(w, err)
 }
 
 // relay writes a downstream response verbatim: pass-through shapes owe
@@ -561,24 +419,38 @@ func relay(w http.ResponseWriter, resp *ShardResponse) {
 func (co *Coordinator) doShard(ctx context.Context, shard int, shape, path string, body []byte) (*ShardResponse, error) {
 	start := time.Now()
 	resp, err := co.client.Do(ctx, shard, "POST", path, body, co.Generation())
-	co.metrics.RecordDownstream(shardName(shard), shape, time.Since(start), err)
+	co.exec.Metrics.RecordDownstream(shardName(shard), shape, time.Since(start), err)
 	return resp, err
 }
 
-// passThrough executes a single-shard shape: the owning shard's
-// definitive response (success or error) is relayed verbatim. A debug
-// profile on this path is the NODE's profile riding the relayed body —
-// the coordinator cannot splice its own spans into bytes it must not
-// touch, so its scatter/attempt spans surface only via the slow-query
-// log and an explicit Usimrank-Trace header.
-func (co *Coordinator) passThrough(w http.ResponseWriter, r *http.Request, shape, alg string, timeoutMs int, cheap bool, key string, tr *obs.Trace, root obs.Span, shard int, path string, raw []byte) {
-	val, _, ok := co.execute(w, r, shape, alg, timeoutMs, cheap, key, tr, root, func(ctx context.Context) (any, error) {
+// execute runs one coordinator query through the executor it shares
+// with the node server, arming the query's trace. When this request
+// leads its flight, the scatter span rides the flight context into the
+// fan-out, so per-shard and per-attempt spans (and the shards' own
+// remote profiles) nest under it.
+func (co *Coordinator) execute(w http.ResponseWriter, r *http.Request, c *server.Call, debug bool) (any, bool, bool) {
+	c.Trace, c.Root = co.exec.TraceFor(r, c.Shape, debug)
+	c.Span = "scatter"
+	return co.exec.Execute(w, r, *c, co.writeClusterError)
+}
+
+// passThrough executes a single-shard shape: the shard owning source
+// vertex u answers, and its definitive response (success or error) is
+// relayed verbatim. A debug profile on this path is the NODE's profile
+// riding the relayed body — the coordinator cannot splice its own
+// spans into bytes it must not touch, so its scatter/attempt spans
+// surface only via the slow-query log and an explicit Usimrank-Trace
+// header.
+func (co *Coordinator) passThrough(w http.ResponseWriter, r *http.Request, c server.Call, debug bool, u int, path string, raw []byte) {
+	shard := co.shards.Of(u)
+	c.Run = func(ctx context.Context) (any, error) {
 		sp := obs.SpanFromContext(ctx).Start(shardName(shard))
-		resp, err := co.doShard(obs.ContextWithSpan(ctx, sp), shard, shape, path, raw)
+		resp, err := co.doShard(obs.ContextWithSpan(ctx, sp), shard, c.Shape, path, raw)
 		sp.Error(err)
 		sp.End()
 		return resp, err
-	})
+	}
+	val, _, ok := co.execute(w, r, &c, debug)
 	if !ok {
 		return
 	}
@@ -588,9 +460,9 @@ func (co *Coordinator) passThrough(w http.ResponseWriter, r *http.Request, shape
 	// verbatim), but the stats must not read all-healthy while clients
 	// stream 504s from the shards' own deadlines.
 	if resp.Status >= 400 {
-		co.metrics.CountError(shape, alg)
+		co.exec.Metrics.CountError(c.Shape, c.Alg)
 		if resp.Status == http.StatusGatewayTimeout {
-			co.metrics.DeadlineExceeded.Add(1)
+			co.exec.Metrics.DeadlineExceeded.Add(1)
 		}
 	}
 	relay(w, resp)
@@ -727,33 +599,23 @@ func allCanceled(se *ShardError) bool {
 // ---- the five query shapes ---------------------------------------------
 
 func (co *Coordinator) handleScore(w http.ResponseWriter, r *http.Request) {
-	raw, ok := co.readBody(w, r)
+	var req server.ScoreRequest
+	raw, ok := readJSON(w, r, &req)
 	if !ok {
 		return
 	}
-	var req server.ScoreRequest
-	if !decodeStrict(w, raw, &req) {
+	alg, ok := server.ParseAlg(w, req.Alg)
+	if !ok {
 		return
 	}
-	alg, err := usimrank.ParseAlgorithm(req.Alg)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
-		return
-	}
-	shard := co.shards.Of(req.U)
-	key := fmt.Sprintf("score|g%d|%s|%d|%d", co.Generation(), alg, req.U, req.V)
-	key = debugKey(adaptiveKey(key, req.Eps, req.Delta), req.Debug)
-	tr, root := co.traceFor(r, "score", req.Debug)
-	co.passThrough(w, r, "score", alg.String(), req.TimeoutMs, req.Eps > 0, key, tr, root, shard, "/v1/score", raw)
+	co.passThrough(w, r, server.Call{Shape: "score", Alg: alg.String(), TimeoutMs: req.TimeoutMs, Cheap: req.Eps > 0,
+		Key: req.FlightKey(co.Generation(), alg.String())}, req.Debug, req.U, "/v1/score", raw)
 }
 
 func (co *Coordinator) handleSource(w http.ResponseWriter, r *http.Request) {
-	raw, ok := co.readBody(w, r)
-	if !ok {
-		return
-	}
 	var req server.SourceRequest
-	if !decodeStrict(w, raw, &req) {
+	raw, ok := readJSON(w, r, &req)
+	if !ok {
 		return
 	}
 	// "indexed" is a source-only algorithm the engine enum does not
@@ -763,68 +625,46 @@ func (co *Coordinator) handleSource(w http.ResponseWriter, r *http.Request) {
 	// when it holds none).
 	algName := server.AlgIndexed
 	if !strings.EqualFold(req.Alg, server.AlgIndexed) {
-		alg, err := usimrank.ParseAlgorithm(req.Alg)
-		if err != nil {
-			server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
+		alg, ok := server.ParseAlg(w, req.Alg)
+		if !ok {
 			return
 		}
 		algName = alg.String()
 	}
-	shard := co.shards.Of(req.U)
-	candKey := "all"
-	if req.Candidates != nil {
-		candKey = server.DigestInts(req.Candidates)
-	}
-	key := fmt.Sprintf("source|g%d|%s|%d|%s", co.Generation(), algName, req.U, candKey)
-	key = debugKey(adaptiveKey(key, req.Eps, req.Delta), req.Debug)
-	tr, root := co.traceFor(r, "source", req.Debug)
-	co.passThrough(w, r, "source", algName, req.TimeoutMs, req.Eps > 0, key, tr, root, shard, "/v1/source", raw)
+	co.passThrough(w, r, server.Call{Shape: "source", Alg: algName, TimeoutMs: req.TimeoutMs, Cheap: req.Eps > 0,
+		Key: req.FlightKey(co.Generation(), algName)}, req.Debug, req.U, "/v1/source", raw)
 }
 
 func (co *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
-	raw, ok := co.readBody(w, r)
+	var req server.TopKRequest
+	raw, ok := readJSON(w, r, &req)
 	if !ok {
 		return
 	}
-	var req server.TopKRequest
-	if !decodeStrict(w, raw, &req) {
-		return
-	}
-	alg, err := usimrank.ParseAlgorithm(req.Alg)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
+	alg, ok := server.ParseAlg(w, req.Alg)
+	if !ok {
 		return
 	}
 	if req.K < 1 {
 		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, fmt.Sprintf("k = %d < 1", req.K))
 		return
 	}
+	st := co.state.Load()
+	c := server.Call{Shape: "topk", Alg: alg.String(), TimeoutMs: req.TimeoutMs, Cheap: req.Eps > 0,
+		Key: req.FlightKey(st.gen, alg.String())}
 	if req.U != nil {
 		if req.Sources != nil {
 			server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest,
 				`"sources" is only valid for pairs queries (omit "u")`)
 			return
 		}
-		shard := co.shards.Of(*req.U)
-		key := fmt.Sprintf("topk|g%d|%s|u%d|k%d", co.Generation(), alg, *req.U, req.K)
-		key = debugKey(adaptiveKey(key, req.Eps, req.Delta), req.Debug)
-		tr, root := co.traceFor(r, "topk", req.Debug)
-		co.passThrough(w, r, "topk", alg.String(), req.TimeoutMs, req.Eps > 0, key, tr, root, shard, "/v1/topk", raw)
+		co.passThrough(w, r, c, req.Debug, *req.U, "/v1/topk", raw)
 		return
 	}
 
 	// Pairs: scatter the source partition, k-way merge the partial
 	// top-k lists under the canonical order.
-	st := co.state.Load()
-	var key string
-	if req.Sources != nil {
-		key = fmt.Sprintf("topk|g%d|%s|pairs|k%d|s%s", st.gen, alg, req.K, server.DigestInts(req.Sources))
-	} else {
-		key = fmt.Sprintf("topk|g%d|%s|pairs|k%d", st.gen, alg, req.K)
-	}
-	key = debugKey(adaptiveKey(key, req.Eps, req.Delta), req.Debug)
-	tr, root := co.traceFor(r, "topk", req.Debug)
-	val, coalesced, ok := co.execute(w, r, "topk", alg.String(), req.TimeoutMs, req.Eps > 0, key, tr, root, func(ctx context.Context) (any, error) {
+	c.Run = func(ctx context.Context) (any, error) {
 		// The O(V) partition and the scatter bodies are built inside
 		// the flight, so coalescing followers joining this key pay
 		// nothing for work the leader's tasks already carry.
@@ -898,7 +738,8 @@ func (co *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 		merged.results = mergeTopK(req.K, lists)
 		msp.End()
 		return merged, nil
-	})
+	}
+	val, coalesced, ok := co.execute(w, r, &c, req.Debug)
 	if !ok {
 		return
 	}
@@ -909,8 +750,8 @@ func (co *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 		Adaptive: mg.adaptive, Partial: mg.partial,
 	}
 	if req.Debug {
-		root.End()
-		resp.Profile = tr.Profile()
+		c.Root.End()
+		resp.Profile = c.Trace.Profile()
 	}
 	server.WriteJSON(w, http.StatusOK, resp)
 }
@@ -924,30 +765,21 @@ type mergedTopK struct {
 }
 
 func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	raw, ok := co.readBody(w, r)
-	if !ok {
-		return
-	}
 	var req server.BatchRequest
-	if !decodeStrict(w, raw, &req) {
+	if _, ok := readJSON(w, r, &req); !ok {
 		return
 	}
-	alg, err := usimrank.ParseAlgorithm(req.Alg)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
+	alg, ok := server.ParseAlg(w, req.Alg)
+	if !ok {
 		return
 	}
 	if len(req.Pairs) == 0 {
 		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, "empty pairs")
 		return
 	}
-	flat := make([]int, 0, 2*len(req.Pairs))
-	for _, p := range req.Pairs {
-		flat = append(flat, p[0], p[1])
-	}
-	key := debugKey(fmt.Sprintf("batch|g%d|%s|%s", co.Generation(), alg, server.DigestInts(flat)), req.Debug)
-	tr, root := co.traceFor(r, "batch", req.Debug)
-	val, coalesced, ok := co.execute(w, r, "batch", alg.String(), req.TimeoutMs, false, key, tr, root, func(ctx context.Context) (any, error) {
+	c := server.Call{Shape: "batch", Alg: alg.String(), TimeoutMs: req.TimeoutMs,
+		Key: req.FlightKey(co.Generation(), alg.String())}
+	c.Run = func(ctx context.Context) (any, error) {
 		// Plan and marshal inside the flight, like the pairs top-k
 		// path: coalescing followers must not duplicate the regroup of
 		// a near-cap pairs payload just to throw it away.
@@ -985,7 +817,8 @@ func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		return out, nil
-	})
+	}
+	val, coalesced, ok := co.execute(w, r, &c, req.Debug)
 	if !ok {
 		return
 	}
@@ -993,8 +826,8 @@ func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Alg: alg.String(), Results: val.([]server.BatchPairResult), Coalesced: coalesced,
 	}
 	if req.Debug {
-		root.End()
-		resp.Profile = tr.Profile()
+		c.Root.End()
+		resp.Profile = c.Trace.Profile()
 	}
 	server.WriteJSON(w, http.StatusOK, resp)
 }
@@ -1015,7 +848,7 @@ func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	pw := obs.NewPromWriter(w)
 
-	co.metrics.WriteProm(pw)
+	co.exec.Metrics.WriteProm(pw)
 
 	pw.Header("usimrank_uptime_seconds", "gauge", "Seconds since the coordinator process started.")
 	pw.Float("usimrank_uptime_seconds", nil, time.Since(co.start).Seconds())
@@ -1131,9 +964,9 @@ func (co *Coordinator) Stats() StatsResponse {
 			AdminOps:   co.adminOps.Load(),
 		},
 		Shards:        health,
-		Serving:       co.metrics.ServingStats(co.cfg.MaxInFlight),
-		Coalescing:    co.metrics.CoalescingStats(),
-		Queries:       co.metrics.QueryStats(),
+		Serving:       co.exec.Metrics.ServingStats(co.cfg.MaxInFlight),
+		Coalescing:    co.exec.Metrics.CoalescingStats(),
+		Queries:       co.exec.Metrics.QueryStats(),
 		Subscriptions: server.SubscriptionStatsFrom(co.subs),
 	}
 }
@@ -1141,12 +974,9 @@ func (co *Coordinator) Stats() StatsResponse {
 // ---- transactional admin fan-out ---------------------------------------
 
 func (co *Coordinator) handleReload(w http.ResponseWriter, r *http.Request) {
-	raw, ok := co.readBody(w, r)
-	if !ok {
-		return
-	}
 	var req server.ReloadRequest
-	if !decodeStrict(w, raw, &req) {
+	raw, ok := readJSON(w, r, &req)
+	if !ok {
 		return
 	}
 	if req.Graph == "" {
@@ -1157,12 +987,9 @@ func (co *Coordinator) handleReload(w http.ResponseWriter, r *http.Request) {
 }
 
 func (co *Coordinator) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	raw, ok := co.readBody(w, r)
-	if !ok {
-		return
-	}
 	var req server.UpdateRequest
-	if !decodeStrict(w, raw, &req) {
+	raw, ok := readJSON(w, r, &req)
+	if !ok {
 		return
 	}
 	if len(req.Updates) == 0 {
@@ -1395,20 +1222,11 @@ func (co *Coordinator) adminResponse(st *clusterState, acks []*endpointAck) Admi
 	return out
 }
 
-// logLoop periodically logs a one-line serving summary until Close.
-func (co *Coordinator) logLoop() {
-	t := time.NewTicker(co.cfg.LogEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-co.baseCtx.Done():
-			return
-		case <-t.C:
-			st := co.state.Load()
-			cs := co.metrics.CoalescingStats()
-			sv := co.metrics.ServingStats(co.cfg.MaxInFlight)
-			co.cfg.Logger.Printf("stats: gen=%d shards=%d in_flight=%d coalesce_rate=%.2f rejected=%d deadline=%d",
-				st.gen, co.shards.Shards(), sv.InFlight, cs.HitRate, sv.AdmissionRejected, sv.DeadlineExceeded)
-		}
-	}
+// logStats logs the one-line serving summary of Config.LogEvery.
+func (co *Coordinator) logStats() {
+	st := co.state.Load()
+	cs := co.exec.Metrics.CoalescingStats()
+	sv := co.exec.Metrics.ServingStats(co.cfg.MaxInFlight)
+	co.cfg.Logger.Printf("stats: gen=%d shards=%d in_flight=%d coalesce_rate=%.2f rejected=%d deadline=%d",
+		st.gen, co.shards.Shards(), sv.InFlight, cs.HitRate, sv.AdmissionRejected, sv.DeadlineExceeded)
 }

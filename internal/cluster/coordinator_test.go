@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -212,6 +213,46 @@ func TestCoordinatorValidation(t *testing.T) {
 	var e server.ErrorResponse
 	if err := json.Unmarshal(body, &e); err != nil || e.Error.Code != server.CodeBadRequest {
 		t.Fatalf("relayed 400 = %s (%v)", body, err)
+	}
+}
+
+// TestCoordinatorRejectsTrailingData: a body with data after its JSON
+// object is the coordinator's own 400 — with the node's exact error
+// body — and is never relayed to a shard.
+func TestCoordinatorRejectsTrailingData(t *testing.T) {
+	g := testGraph()
+	node, err := server.New(g, "test://shard", server.Config{Engine: testOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Close)
+	var relayed atomic.Int64
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/stats" {
+			relayed.Add(1)
+		}
+		node.ServeHTTP(w, r)
+	}))
+	t.Cleanup(shard.Close)
+	co := newCoordinator(t, [][]string{{shard.URL}}, nil)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/score", `{"alg":"baseline","u":0,"v":1}garbage`},
+		{"/v1/source", `{"alg":"baseline","u":0} {}`},
+		{"/v1/topk", `{"alg":"baseline","k":2}]`},
+		{"/v1/batch", `{"alg":"baseline","pairs":[[0,1]]}x`},
+		{"/v1/admin/update", `{"updates":[{"op":"delete","u":0,"v":1}]}1`},
+	} {
+		status, body := post(t, co, c.path, c.body)
+		if status != 400 {
+			t.Fatalf("%s %s: status %d, want 400: %s", c.path, c.body, status, body)
+		}
+		nodeStatus, nodeBody := post(t, node, c.path, c.body)
+		if nodeStatus != 400 || string(nodeBody) != string(body) {
+			t.Fatalf("%s %s: coordinator 400 %s differs from the node's %d %s", c.path, c.body, body, nodeStatus, nodeBody)
+		}
+	}
+	if n := relayed.Load(); n != 0 {
+		t.Fatalf("%d malformed requests were relayed to the shard", n)
 	}
 }
 

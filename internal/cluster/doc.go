@@ -10,12 +10,13 @@
 // Sharding is by query space, not by data: every shard node holds the
 // FULL graph (same file, same engine options, same seed) and owns the
 // queries whose source vertex hashes to it. The coordinator holds no
-// graph at all — only the shard map, the fan-out client, and the
-// serving machinery (request coalescing, admission control, latency
-// histograms per shape and per downstream shard) reused from
-// usimrank/internal/server. Each shard may have replica endpoints:
-// full nodes serving the same shard's traffic, used for hedged
-// failover.
+// graph at all — only the shard map, the fan-out client, and a
+// server.Executor: the node's own query pipeline (request coalescing
+// keyed by the request types' FlightKey methods, tiered admission,
+// deadlines, latency histograms per shape and per downstream shard),
+// with the scatter in place of the engine call. Each shard may have
+// replica endpoints: full nodes serving the same shard's traffic, used
+// for hedged failover.
 //
 // # The shard-map contract
 //

@@ -98,7 +98,7 @@ func (co *Coordinator) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			msg := fmt.Sprintf("%s: no endpoint could serve the subscription", shardName(shard))
 			if rs.started {
 				co.subs.NoteDropped()
-				co.writeRelayTerminal(w, fl, server.EventError, rs.lastID, server.CodeShardUnavailable, msg)
+				server.WriteTerminal(w, fl, server.EventError, rs.lastID, server.CodeShardUnavailable, msg)
 			} else {
 				server.WriteError(w, http.StatusBadGateway, server.CodeShardUnavailable, msg)
 			}
@@ -189,12 +189,14 @@ func (co *Coordinator) relayFrom(w http.ResponseWriter, fl http.Flusher, r *http
 		if fr.Forward(w) != nil {
 			return true, true // client gone
 		}
+		// Counted before the flush, so a client that has read the event
+		// never sees a stats snapshot without it.
+		if fr.Name() == server.EventUpdate {
+			co.subs.NotePush()
+		}
 		fl.Flush()
 		if id := fr.ID(); id > 0 {
 			rs.lastID = id
-		}
-		if fr.Name() == server.EventUpdate {
-			co.subs.NotePush()
 		}
 	}
 }
@@ -234,23 +236,11 @@ func (co *Coordinator) relayInterrupted(w http.ResponseWriter, fl http.Flusher, 
 		return false
 	}
 	if rs.started {
-		co.writeRelayTerminal(w, fl, server.EventShutdown, rs.lastID, server.CodeUnavailable,
+		server.WriteTerminal(w, fl, server.EventShutdown, rs.lastID, server.CodeUnavailable,
 			"coordinator shutting down; resubscribe with Last-Event-ID to resume")
 	} else {
 		server.WriteError(w, http.StatusServiceUnavailable, server.CodeUnavailable,
 			"coordinator shutting down")
 	}
 	return true
-}
-
-// writeRelayTerminal emits a coordinator-authored terminal event on an
-// already-started stream. Best-effort: the client may be gone.
-func (co *Coordinator) writeRelayTerminal(w http.ResponseWriter, fl http.Flusher, event string, id uint64, code, msg string) {
-	body, err := server.MarshalBody(server.ErrorResponse{Error: server.ErrorDetail{Code: code, Message: msg}})
-	if err != nil {
-		return
-	}
-	if sub.WriteEvent(w, event, id, body) == nil {
-		fl.Flush()
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -207,14 +208,36 @@ func TestTraceHedgedFailoverErroredSpan(t *testing.T) {
 // definitive answer is rejected for its old generation, and the trace
 // shows it as an errored attempt span next to the current endpoint's
 // winning attempt — one connected tree for the whole swap-and-retry.
+//
+// With a 1ms hedge the current endpoint could answer before the stale
+// answer is processed and leave nothing to reject, so the current
+// node's query handler is gated: it answers only once the client has
+// read and rejected the stale node's response.
 func TestTraceStaleSwapRejection(t *testing.T) {
 	g := testGraph()
 	au, av, _ := g.ArcEndpoints(0)
 	stale := newShardNode(t, g)
-	current := newShardNode(t, g)
+	var client atomic.Pointer[Client]
+	s, err := server.New(g, "test://shard", server.Config{Engine: testOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	current := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		for r.URL.Path == "/v1/score" && client.Load().Counters()[0].StaleRejected == 0 {
+			select {
+			case <-r.Context().Done():
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+		s.ServeHTTP(w, r)
+	}))
+	t.Cleanup(current.Close)
 	directUpdate(t, current.URL, au, av, 0.111)
 
 	c := NewClient([][]string{{stale.URL, current.URL}}, http.DefaultClient, 5*time.Second, time.Millisecond)
+	client.Store(c)
 	tr := obs.NewTrace("", 0)
 	root := tr.Start("client_do")
 	ctx := obs.ContextWithSpan(t.Context(), root)

@@ -45,8 +45,9 @@ import (
 // least one round committed the query returns its best-so-far estimate
 // with Partial=true and a nil error. Zero committed rounds surface
 // ctx's error as usual. The loop also stops before a round it cannot
-// finish — when the remaining deadline is under ~1.5× the previous
-// round's duration — so deadline-pressured queries return a committed
+// finish — when the remaining deadline is under ~1.5× the round's
+// predicted duration, the previous round's per-walk time scaled to the
+// round's new walks — so deadline-pressured queries return a committed
 // interval instead of burning the budget on a round that will be
 // thrown away. All sampled strategies share the v2 kernel here: SR-SP's
 // filter bit-vectors amortise over fixed sweeps but cannot extend a
@@ -288,13 +289,17 @@ func (e *Engine) adaptiveSweep(ctx context.Context, p *parallel.Pool, u int, pre
 	prevCh, prevT := 0, 0
 	deadline, hasDeadline := ctx.Deadline()
 	var lastRound time.Duration
+	lastWalks := 1
 	for _, t := range ap.totals {
 		if p.Err() != nil {
 			break
 		}
 		// Don't start a round the deadline cannot fit: an aborted round
-		// is discarded whole, so its walks would be pure waste.
-		if res.Rounds > 0 && hasDeadline && time.Until(deadline) < lastRound*3/2 {
+		// is discarded whole, so its walks would be pure waste. Rounds
+		// grow geometrically, so the prediction scales the last round's
+		// time by the new walk count; a round that overran would also
+		// land its partial answer after the caller's own deadline.
+		if res.Rounds > 0 && hasDeadline && time.Until(deadline) < lastRound*time.Duration(t-prevT)/time.Duration(lastWalks)*3/2 {
 			break
 		}
 		start := time.Now()
@@ -370,8 +375,8 @@ func (e *Engine) adaptiveSweep(ctx context.Context, p *parallel.Pool, u int, pre
 		res.Radius = maxR
 		res.Walks = int64(t)
 		res.Rounds++
+		lastRound, lastWalks = time.Since(start), t-prevT
 		prevCh, prevT = nch, t
-		lastRound = time.Since(start)
 		if maxR <= ap.eps {
 			res.Converged = true
 			break

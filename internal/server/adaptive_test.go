@@ -266,10 +266,10 @@ func TestAdaptivePartialUnderDeadline(t *testing.T) {
 // long to back off, derived from the admission grace.
 func TestRetryAfterOn429(t *testing.T) {
 	s := newTestServer(t, Config{Engine: testOptions(), MaxInFlight: 1, AdmissionWait: -1})
-	if !s.adm.Acquire(context.Background()) {
+	if !s.exec.Admission.Acquire(context.Background()) {
 		t.Fatal("could not occupy the only slot")
 	}
-	defer s.adm.Release()
+	defer s.exec.Admission.Release()
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(ScoreRequest{Alg: "srsp", U: 0, V: 1}); err != nil {
 		t.Fatal(err)
@@ -366,7 +366,7 @@ func blockFlight(t *testing.T, s *Server, alg usimrank.Algorithm, u, v int) (rel
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		s.flights.Do(context.Background(), key, nil, func() func() (any, error) {
+		s.exec.Flights.Do(context.Background(), key, nil, func() func() (any, error) {
 			return func() (any, error) {
 				<-block
 				return 0.0, nil
@@ -376,9 +376,9 @@ func blockFlight(t *testing.T, s *Server, alg usimrank.Algorithm, u, v int) (rel
 	// Wait until the flight is registered so subsequent requests are
 	// guaranteed followers.
 	for {
-		s.flights.mu.Lock()
-		_, ok := s.flights.m[key]
-		s.flights.mu.Unlock()
+		s.exec.Flights.mu.Lock()
+		_, ok := s.exec.Flights.m[key]
+		s.exec.Flights.mu.Unlock()
 		if ok {
 			break
 		}
@@ -401,10 +401,10 @@ func TestFollowerReleasesAdmissionSlot(t *testing.T) {
 	unblock := blockFlight(t, s, usimrank.AlgSRSP, 0, 1)
 	defer unblock()
 	// Simulate the leader's held slot: one of two is gone.
-	if !s.adm.Acquire(context.Background()) {
+	if !s.exec.Admission.Acquire(context.Background()) {
 		t.Fatal("could not take the leader's slot")
 	}
-	defer s.adm.Release()
+	defer s.exec.Admission.Release()
 
 	// The follower joins the blocked flight; with the fix it gives its
 	// slot back immediately and idles slot-free.
@@ -470,7 +470,7 @@ func TestClientGoneCoalesced(t *testing.T) {
 	hangup()
 	<-done
 
-	if got := s.metrics.ClientGone.Load(); got != 1 {
+	if got := s.exec.Metrics.ClientGone.Load(); got != 1 {
 		t.Fatalf("client_gone = %d, want 1", got)
 	}
 	if rec.Body.Len() != 0 {

@@ -25,13 +25,6 @@ type Admission struct {
 	wait     time.Duration
 }
 
-// NewAdmission builds a single-tier semaphore (no reserve) — the
-// historical constructor, kept for callers that never route cheap
-// queries.
-func NewAdmission(maxInFlight int, wait time.Duration) *Admission {
-	return NewTieredAdmission(maxInFlight, 0, wait)
-}
-
 // NewTieredAdmission splits maxInFlight total slots into a general
 // pool of maxInFlight−reserve and a cheap-only reserve. The reserve is
 // clamped so at least one general slot always exists (a server that
@@ -102,15 +95,6 @@ func (a *Admission) AcquireTier(ctx context.Context, cheap bool) func() {
 
 func (a *Admission) releaseGeneral()  { <-a.general }
 func (a *Admission) releaseReserved() { <-a.reserved }
-
-// Acquire claims a general-pool slot (the single-tier API). It returns
-// false when the request must be rejected.
-func (a *Admission) Acquire(ctx context.Context) bool {
-	return a.AcquireTier(ctx, false) != nil
-}
-
-// Release frees a slot claimed by Acquire.
-func (a *Admission) Release() { <-a.general }
 
 // Wait is the admission grace: how long a request may block for a slot
 // before being rejected. Handlers derive the 429 Retry-After hint from

@@ -4,7 +4,15 @@ package server
 // are the wire format documented in the package comment; keep the two
 // in sync.
 
-import "usimrank/internal/obs"
+import (
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"hash/fnv"
+	"math"
+
+	"usimrank/internal/obs"
+)
 
 // ScoreRequest asks for one pairwise similarity s(u, v).
 type ScoreRequest struct {
@@ -29,6 +37,53 @@ type ScoreRequest struct {
 	// tree (with kernel resource counts) in the response's profile
 	// field. Debug requests never coalesce with non-debug ones.
 	Debug bool `json:"debug,omitempty"`
+}
+
+// FlightKey is the request's coalescing identity at graph generation
+// gen, alg being the canonical algorithm name: concurrent requests with
+// equal keys share one computation. Every plane and path keys a query
+// through these methods — the node's handlers, the coordinator's, and
+// subscription pushes, which thereby share their flight with the
+// identical cold query. The executor appends the effective deadline.
+func (r ScoreRequest) FlightKey(gen uint64, alg string) string {
+	return keySuffix(fmt.Sprintf("score|g%d|%s|%d|%d", gen, alg, r.U, r.V), r.Eps, r.Delta, r.Debug)
+}
+
+// keySuffix appends a request's accuracy target and debug flag to its
+// flight key.
+//
+// An eps-bearing query must never share a flight with a full-budget
+// one (different engine call, different response shape), nor with one
+// targeting a different (ε, δ); exact bit patterns keep distinct float
+// spellings distinct.
+//
+// A debug request must lead its own flight (so its profile contains
+// the compute spans), and a non-debug follower must never be handed a
+// response computed under a debug leader. Two concurrent identical
+// debug requests still coalesce with each other; the follower's
+// profile then shows a coalesce span with leader=0 — accurate
+// attribution, it really did no work.
+func keySuffix(key string, eps, delta float64, debug bool) string {
+	if eps > 0 {
+		key = fmt.Sprintf("%s|e%x|d%x", key, math.Float64bits(eps), math.Float64bits(delta))
+	}
+	if debug {
+		key += "|dbg"
+	}
+	return key
+}
+
+// DigestInts returns a fixed-size FNV-128a digest of an operand list,
+// keeping flight keys O(1) in payload size (a 100k-pair batch must not
+// build and compare megabyte key strings under the flight mutex).
+func DigestInts(xs []int) string {
+	h := fnv.New128a()
+	var buf [8]byte
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(buf[:], uint64(int64(x)))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // AdaptiveInfo reports how an adaptive (ε, δ) query converged. Present
@@ -90,6 +145,17 @@ type SourceRequest struct {
 	Debug     bool    `json:"debug,omitempty"`
 }
 
+// FlightKey is the request's coalescing identity (see
+// ScoreRequest.FlightKey); alg may be "indexed". A nil candidate list
+// (the full sweep) and an explicit empty one are different queries.
+func (r SourceRequest) FlightKey(gen uint64, alg string) string {
+	cands := "all"
+	if r.Candidates != nil {
+		cands = DigestInts(r.Candidates)
+	}
+	return keySuffix(fmt.Sprintf("source|g%d|%s|%d|%s", gen, alg, r.U, cands), r.Eps, r.Delta, r.Debug)
+}
+
 // SourceResponse carries the scores; Scores[i] is s(U, Candidates[i]),
 // or s(U, i) over all vertices when the request had no candidate set.
 type SourceResponse struct {
@@ -124,6 +190,22 @@ type TopKRequest struct {
 	Debug     bool    `json:"debug,omitempty"`
 }
 
+// FlightKey is the request's coalescing identity (see
+// ScoreRequest.FlightKey) for all three variants: top-k of u, the
+// sources-restricted pairs sweep, and the full pairs sweep.
+func (r TopKRequest) FlightKey(gen uint64, alg string) string {
+	var key string
+	switch {
+	case r.U != nil:
+		key = fmt.Sprintf("topk|g%d|%s|u%d|k%d", gen, alg, *r.U, r.K)
+	case r.Sources != nil:
+		key = fmt.Sprintf("topk|g%d|%s|pairs|k%d|s%s", gen, alg, r.K, DigestInts(r.Sources))
+	default:
+		key = fmt.Sprintf("topk|g%d|%s|pairs|k%d", gen, alg, r.K)
+	}
+	return keySuffix(key, r.Eps, r.Delta, r.Debug)
+}
+
 // PairScore is one scored vertex pair.
 type PairScore struct {
 	U     int     `json:"u"`
@@ -149,6 +231,16 @@ type BatchRequest struct {
 	Pairs     [][2]int `json:"pairs"`
 	TimeoutMs int      `json:"timeout_ms,omitempty"`
 	Debug     bool     `json:"debug,omitempty"`
+}
+
+// FlightKey is the request's coalescing identity (see
+// ScoreRequest.FlightKey).
+func (r BatchRequest) FlightKey(gen uint64, alg string) string {
+	flat := make([]int, 0, 2*len(r.Pairs))
+	for _, p := range r.Pairs {
+		flat = append(flat, p[0], p[1])
+	}
+	return keySuffix(fmt.Sprintf("batch|g%d|%s|%s", gen, alg, DigestInts(flat)), 0, 0, r.Debug)
 }
 
 // BatchPairResult is one outcome of a batch computation; Error is set

@@ -69,7 +69,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 		})
 	}
-	if hits := s.metrics.coalesceHits.Load(); hits > 0 {
+	if hits := s.exec.Metrics.coalesceHits.Load(); hits > 0 {
 		b.Logf("coalescing hits during benchmark: %d", hits)
 	}
 }

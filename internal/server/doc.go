@@ -4,14 +4,16 @@
 // the per-source kernels — amortises across queries instead of being
 // rebuilt per CLI invocation.
 //
-// The server does three pieces of real serving work above routing:
+// The server does four pieces of real serving work above routing:
 //
 //   - Request coalescing. Concurrent identical queries (same shape,
 //     algorithm, and operands, on the same graph generation) collapse
 //     into one engine call through a singleflight layer; every caller
 //     receives the one result, and per-shape coalescing hits are
 //     counted. Because the engine is deterministic, sharing a result is
-//     indistinguishable from recomputing it.
+//     indistinguishable from recomputing it. A query's coalescing
+//     identity is the FlightKey method of its wire request type
+//     (ScoreRequest, SourceRequest, TopKRequest, BatchRequest).
 //
 //   - Admission control. A bounded in-flight semaphore (Config.
 //     MaxInFlight) caps concurrent queries above the engine's own
@@ -39,6 +41,24 @@
 //     bit-identical to a from-scratch rebuild of the mutated graph;
 //     only the cost differs (orders of magnitude, see the ApplyUpdates
 //     benchmarks).
+//
+// # One query pipeline
+//
+// Coalescing, admission and deadlines live in one place, the Executor
+// (executor.go). Every query of the serving system goes through it:
+// this package's POST handlers, the cluster coordinator's handlers
+// (usimrank/internal/cluster, which builds its own Executor over the
+// same types), and the pushes of /v1/subscribe. For each query the
+// Executor suffixes the flight key with the effective deadline, claims
+// a tiered admission slot (429 + Retry-After when none frees), joins or
+// leads the flight (a follower hands its slot back at once), runs the
+// leader under a deadline the process owns, and records, logs and maps
+// the outcome to the error envelope. What differs between the callers
+// is passed per query: the compute span ("engine_compute" on a node,
+// "scatter" on the coordinator), the node's leader-side engine pin,
+// and the error writer; pushes are not recorded in the per-shape
+// metrics. Because pushes key their flights through the same FlightKey
+// methods, a push shares its flight with the identical cold query.
 //
 // # Endpoints
 //

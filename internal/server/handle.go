@@ -71,6 +71,14 @@ func (h *engineHandle) tryAcquire() bool {
 	}
 }
 
+// pin re-pins a handle its caller already holds (so tryAcquire cannot
+// fail) and returns the matching release: the executor's leader-side
+// pin, which keeps the engine alive for the flight's own lifetime.
+func (h *engineHandle) pin() func() {
+	h.tryAcquire()
+	return h.release
+}
+
 // release unpins the handle; the final release closes drained.
 func (h *engineHandle) release() {
 	if h.refs.Add(-1) == 0 {

@@ -8,6 +8,19 @@ import (
 	"time"
 )
 
+// NewAdmission builds a single-tier semaphore (no reserve), and
+// Acquire/Release claim and free one general-pool slot: the single-tier
+// view of Admission the tests use to occupy slots out of band.
+func NewAdmission(maxInFlight int, wait time.Duration) *Admission {
+	return NewTieredAdmission(maxInFlight, 0, wait)
+}
+
+func (a *Admission) Acquire(ctx context.Context) bool {
+	return a.AcquireTier(ctx, false) != nil
+}
+
+func (a *Admission) Release() { <-a.general }
+
 // TestFlightGroupCoalesces: N concurrent callers with one key execute
 // the function exactly once; exactly one caller is the leader
 // (shared=false), the rest are coalescing hits.

@@ -20,7 +20,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// Per-query and per-downstream serving metrics (counters + latency
 	// histograms), then the serving-plane globals.
-	s.metrics.WriteProm(pw)
+	s.exec.Metrics.WriteProm(pw)
 
 	pw.Header("usimrank_uptime_seconds", "gauge", "Seconds since the server process started.")
 	pw.Float("usimrank_uptime_seconds", nil, time.Since(s.start).Seconds())

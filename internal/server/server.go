@@ -3,14 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/fnv"
 	"log"
-	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -146,9 +141,9 @@ type Server struct {
 	// never take it. TestAdminMutationsSerialized pins the invariant.
 	adminMu sync.Mutex
 
-	adm     *Admission
-	flights *FlightGroup
-	metrics *MetricsRegistry
+	// exec is the query pipeline: admission, coalescing, deadlines,
+	// metrics. Client queries and subscription pushes share it.
+	exec *Executor
 	// subs tracks live /v1/subscribe streams; admin mutations wake the
 	// affected ones (see subscribe.go).
 	subs *sub.Registry
@@ -178,10 +173,19 @@ func New(g *usimrank.Graph, source string, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults(eng.Options().Parallelism)
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:     cfg,
-		adm:     NewTieredAdmission(cfg.MaxInFlight, cfg.AdmissionReserve, cfg.AdmissionWait),
-		flights: NewFlightGroup(),
-		metrics: NewMetricsRegistry(),
+		cfg: cfg,
+		exec: &Executor{
+			Plane:        "server",
+			Admission:    NewTieredAdmission(cfg.MaxInFlight, cfg.AdmissionReserve, cfg.AdmissionWait),
+			Flights:      NewFlightGroup(),
+			Metrics:      NewMetricsRegistry(),
+			Ctx:          ctx,
+			QueryTimeout: cfg.QueryTimeout,
+			MaxInFlight:  cfg.MaxInFlight,
+			SlowQuery:    cfg.SlowQuery,
+			LogJSON:      cfg.LogJSON,
+			Logger:       cfg.Logger,
+		},
 		subs:    sub.NewRegistry(),
 		baseCtx: ctx,
 		cancel:  cancel,
@@ -205,9 +209,7 @@ func New(g *usimrank.Graph, source string, cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, CodeNotFound, "unknown route "+r.URL.Path)
 	})
-	if cfg.LogEvery > 0 {
-		go s.logLoop()
-	}
+	s.exec.LogEvery(cfg.LogEvery, s.logStats)
 	return s, nil
 }
 
@@ -233,229 +235,69 @@ func (s *Server) engine() *engineHandle {
 	}
 }
 
-// effectiveTimeout applies a request's timeout_ms within the server
-// bound.
-func (s *Server) effectiveTimeout(ms int) time.Duration {
-	d := time.Duration(ms) * time.Millisecond
-	if d <= 0 || d > s.cfg.QueryTimeout {
-		return s.cfg.QueryTimeout
-	}
-	return d
+// query is one validated query of a POST shape: the shape-specific
+// half of answering it. The cold handlers and subscription pushes both
+// answer through it, so a push keys, computes and encodes exactly what
+// the identical cold query would.
+type query interface {
+	// key is the query's flight key at generation gen.
+	key(gen uint64) string
+	// compute returns the engine call answering the query on h. It is
+	// the flight's whole body, so the flight goroutine's stack stays as
+	// shallow as a direct engine call.
+	compute(h *engineHandle) func(ctx context.Context) (any, error)
+	// record adds an answered client query to the shape's serving
+	// counters (pushes are not recorded).
+	record(s *Server, h *engineHandle, val any, coalesced bool)
+	// response builds the wire response for an answer.
+	response(val any, coalesced bool, prof *obs.Profile) any
 }
 
-// traceFor arms tracing for a request when any consumer exists: an
-// incoming Usimrank-Trace header (an upstream wants connected spans),
-// the debug flag (the client wants the profile inline), or a
-// configured slow-query threshold (the log may want the trace).
-// Otherwise it returns (nil, zero Span) and the request records
-// nothing — the allocation-free disabled path.
-func (s *Server) traceFor(r *http.Request, shape string, debug bool) (*obs.Trace, obs.Span) {
-	hdr := r.Header.Get(obs.TraceHeader)
-	if hdr == "" && !debug && s.cfg.SlowQuery <= 0 {
-		return nil, obs.Span{}
-	}
-	id, parent, _ := obs.ParseTraceHeader(hdr)
-	tr := obs.NewTrace(id, parent)
-	return tr, tr.Start(shape)
-}
-
-// execute runs one admitted, coalesced, deadline-bounded query and
-// writes the error response when it fails. The happy path returns
-// (value, coalesced, true) and leaves the response to the caller.
-//
-// h must be pinned by the caller (and stays the caller's to release):
-// execute re-pins it for the flight's own lifetime, so a hot-swap
-// drain cannot complete while the flight still computes on the engine.
-//
-// tr/root come from traceFor; both may be disabled. When this request
-// leads its flight, the engine_compute span rides the flight context
-// into the kernel, so a debug profile always shows where the leader's
-// time went; followers instead show a coalesce span with leader=0.
-//
-// cheap marks a degradable (adaptive eps-bearing) query eligible for
-// the admission reserve tier. A request that joins an existing flight
-// releases its admission slot immediately (see FlightGroup.Do's
-// onFollow): a follower does no engine work, and a burst of identical
-// queries must not hold the whole admission budget while idling on one
-// leader's result.
-func (s *Server) execute(w http.ResponseWriter, r *http.Request, shape, alg string, timeoutMs int, cheap bool, key string, h *engineHandle, tr *obs.Trace, root obs.Span, fn func(ctx context.Context) (any, error)) (any, bool, bool) {
+// serve answers a validated query on the pinned handle h through the
+// executor and writes the response. c carries the query's shape,
+// algorithm, timeout and admission tier; h stays the caller's to
+// release (the flight takes its own pin).
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, h *engineHandle, q query, c Call, debug bool) {
 	// Stamp the generation this query is pinned to. The cluster
 	// coordinator reads it to reject answers from a node that missed
 	// admin mutations (a replica that was down through an update and
 	// came back serving the old graph).
 	w.Header().Set(GenerationHeader, strconv.FormatUint(h.gen, 10))
-	if tr != nil {
-		// Echo the trace id so callers can join logs without a debug
-		// body; the header never varies the body bytes.
-		w.Header().Set(obs.TraceHeader, tr.ID())
-	}
-	timeout := s.effectiveTimeout(timeoutMs)
-	// The flight runs under the leader's deadline, so only requests
-	// with the same effective budget may share one: without the suffix
-	// a follower with 30s left would inherit a stranger's 1ms flight
-	// and 504 spuriously.
-	key = fmt.Sprintf("%s|t%d", key, timeout.Milliseconds())
-	waitCtx, cancelWait := context.WithTimeout(r.Context(), timeout)
-	defer cancelWait()
-
-	asp := root.Start("admission_wait")
-	release := s.adm.AcquireTier(waitCtx, cheap)
-	if release == nil {
-		asp.Error(errors.New("admission rejected"))
-		asp.End()
-		s.metrics.AdmissionRejected.Add(1)
-		w.Header().Set("Retry-After", RetryAfterSeconds(s.adm.Wait()))
-		WriteError(w, http.StatusTooManyRequests, CodeOverloaded,
-			fmt.Sprintf("server saturated: %d queries in flight", s.cfg.MaxInFlight))
-		return nil, false, false
-	}
-	asp.End()
-	s.metrics.InFlight.Add(1)
-	// The slot is given back exactly once, by whichever comes first:
-	// becoming a follower (below) or this frame unwinding.
-	var relOnce sync.Once
-	releaseSlot := func() {
-		relOnce.Do(func() {
-			s.metrics.InFlight.Add(-1)
-			release()
-		})
-	}
-	defer releaseSlot()
-
-	start := time.Now()
-	csp := root.Start("coalesce")
-	val, coalesced, err := s.flights.Do(waitCtx, key, releaseSlot, func() func() (any, error) {
-		// Leader path, still in this request's frame: transfer a pin
-		// and a server-owned deadline into the flight so it survives
-		// this request abandoning the wait.
-		h.tryAcquire()
-		fctx, cancelFlight := context.WithTimeout(s.baseCtx, timeout)
-		eng := root.Start("engine_compute")
-		fctx = obs.ContextWithSpan(fctx, eng)
-		return func() (any, error) {
-			defer eng.End()
-			defer h.release()
-			defer cancelFlight()
-			return fn(fctx)
-		}
-	})
-	if csp.Enabled() {
-		var lead int64
-		if !coalesced {
-			lead = 1
-		}
-		csp.Add("leader", lead)
-	}
-	csp.End()
-	elapsed := time.Since(start)
-	// A cancellation caused by the client's own disconnect is not a
-	// server error: count it separately, keep the per-shape error
-	// counts clean, and skip the response write (nobody is reading).
-	// Cancellation with a live request context is the server shutting
-	// down — that one still reports 503 through writeQueryError.
-	if err != nil && errors.Is(err, context.Canceled) && r.Context().Err() != nil {
-		s.metrics.ClientGone.Add(1)
-		s.metrics.RecordQuery(shape, alg, elapsed, coalesced, nil)
-		root.Error(err)
-		s.logSlowQuery(shape, alg, tr, elapsed, coalesced, err)
-		return nil, coalesced, false
-	}
-	s.metrics.RecordQuery(shape, alg, elapsed, coalesced, err)
-	root.Error(err)
-	s.logSlowQuery(shape, alg, tr, elapsed, coalesced, err)
-	if err != nil {
-		s.writeQueryError(w, err)
-		return nil, coalesced, false
-	}
-	return val, coalesced, true
-}
-
-// RetryAfterSeconds derives the 429 Retry-After hint from the
-// admission grace: the request already waited one full grace period
-// without a slot freeing, so a client should back off at least that
-// long (floored at the header's 1-second resolution) before retrying.
-func RetryAfterSeconds(wait time.Duration) string {
-	secs := int((wait + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
-
-// slowQueryLog is the JSON shape of one -log-json slow-query line.
-type slowQueryLog struct {
-	Msg        string            `json:"msg"`
-	TraceID    string            `json:"trace_id"`
-	Shape      string            `json:"shape"`
-	Alg        string            `json:"alg"`
-	DurationMs float64           `json:"duration_ms"`
-	Coalesced  bool              `json:"coalesced"`
-	Error      string            `json:"error,omitempty"`
-	Spans      []obs.ProfileSpan `json:"spans"`
-}
-
-// logSlowQuery emits the structured slow-query line when the query met
-// the configured threshold. The trace is always armed when SlowQuery
-// is set (see traceFor), so the line can carry span timings.
-func (s *Server) logSlowQuery(shape, alg string, tr *obs.Trace, d time.Duration, coalesced bool, err error) {
-	LogSlowQuery(s.cfg.Logger, s.cfg.LogJSON, s.cfg.SlowQuery, shape, alg, tr, d, coalesced, err)
-}
-
-// LogSlowQuery writes one structured slow-query line — key=value text,
-// or single-line JSON when logJSON — when d meets the threshold and a
-// trace was recorded. Shared by the single node and the cluster
-// coordinator so both planes log the same shape.
-func LogSlowQuery(logger *log.Logger, logJSON bool, threshold time.Duration, shape, alg string, tr *obs.Trace, d time.Duration, coalesced bool, err error) {
-	if threshold <= 0 || d < threshold || tr == nil {
+	c.Key = q.key(h.gen)
+	c.Trace, c.Root = s.exec.TraceFor(r, c.Shape, debug)
+	c.Span = "engine_compute"
+	c.Pin = h.pin
+	c.Run = q.compute(h)
+	val, coalesced, ok := s.exec.Execute(w, r, c, s.exec.WriteQueryError)
+	if !ok {
 		return
 	}
-	errMsg := ""
-	if err != nil {
-		errMsg = err.Error()
+	q.record(s, h, val, coalesced)
+	var prof *obs.Profile
+	if debug {
+		c.Root.End()
+		prof = c.Trace.Profile()
 	}
-	p := tr.Profile()
-	durMs := float64(d.Microseconds()) / 1000
-	if logJSON {
-		line, merr := json.Marshal(slowQueryLog{
-			Msg: "slow_query", TraceID: p.TraceID, Shape: shape, Alg: alg,
-			DurationMs: durMs, Coalesced: coalesced, Error: errMsg, Spans: p.Spans,
-		})
-		if merr == nil {
-			logger.Printf("%s", line)
-		}
-		return
-	}
-	logger.Printf("slow_query trace=%s shape=%s alg=%s dur_ms=%.3f coalesced=%v err=%q spans: %s",
-		p.TraceID, shape, alg, durMs, coalesced, errMsg, p.SpanLine())
+	WriteJSON(w, http.StatusOK, q.response(val, coalesced, prof))
 }
 
-// writeQueryError maps an engine/context error to the JSON error
-// envelope.
-func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		s.metrics.DeadlineExceeded.Add(1)
-		WriteError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
-			"query exceeded its deadline; raise timeout_ms or the server's -timeout")
-	case errors.Is(err, context.Canceled):
-		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable,
-			"query cancelled (client disconnected or server shutting down)")
-	default:
-		WriteError(w, http.StatusInternalServerError, CodeEngineError, err.Error())
+// ParseAlg parses a request's engine algorithm, writing the 400 itself.
+func ParseAlg(w http.ResponseWriter, name string) (usimrank.Algorithm, bool) {
+	alg, err := usimrank.ParseAlgorithm(name)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		return 0, false
 	}
+	return alg, true
 }
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	var req ScoreRequest
-	if !s.decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
-	alg, err := usimrank.ParseAlgorithm(req.Alg)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	if !checkAdaptive(w, req.Eps, req.Delta) {
+	alg, ok := ParseAlg(w, req.Alg)
+	if !ok || !checkAdaptive(w, req.Eps, req.Delta) {
 		return
 	}
 	h := s.engine()
@@ -463,50 +305,41 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if !s.checkVertices(w, h, req.U, req.V) {
 		return
 	}
-	key := fmt.Sprintf("score|g%d|%s|%d|%d", h.gen, alg, req.U, req.V)
-	key = adaptiveKey(key, req.Eps, req.Delta)
-	key = debugKey(key, req.Debug)
-	adaptive := req.Eps > 0
-	ao := usimrank.AdaptiveOptions{Eps: req.Eps, Delta: req.Delta}
-	tr, root := s.traceFor(r, "score", req.Debug)
-	val, coalesced, ok := s.execute(w, r, "score", alg.String(), req.TimeoutMs, adaptive, key, h, tr, root, func(ctx context.Context) (any, error) {
-		if adaptive {
-			return h.eng.AdaptiveComputeCtx(ctx, alg, req.U, req.V, ao)
+	s.serve(w, r, h, &scoreQuery{req, alg},
+		Call{Shape: "score", Alg: alg.String(), TimeoutMs: req.TimeoutMs, Cheap: req.Eps > 0}, req.Debug)
+}
+
+type scoreQuery struct {
+	ScoreRequest
+	alg usimrank.Algorithm
+}
+
+func (q *scoreQuery) key(gen uint64) string { return q.FlightKey(gen, q.alg.String()) }
+
+func (q *scoreQuery) compute(h *engineHandle) func(ctx context.Context) (any, error) {
+	return func(ctx context.Context) (any, error) {
+		if q.Eps > 0 {
+			return h.eng.AdaptiveComputeCtx(ctx, q.alg, q.U, q.V, usimrank.AdaptiveOptions{Eps: q.Eps, Delta: q.Delta})
 		}
-		return h.eng.ComputeCtx(ctx, alg, req.U, req.V)
-	})
-	if !ok {
-		return
+		return h.eng.ComputeCtx(ctx, q.alg, q.U, q.V)
 	}
-	resp := ScoreResponse{
-		Alg: alg.String(), U: req.U, V: req.V, Coalesced: coalesced,
+}
+
+func (q *scoreQuery) record(s *Server, _ *engineHandle, val any, coalesced bool) {
+	if res, ok := val.(usimrank.AdaptiveResult); ok {
+		s.recordAdaptive(res, coalesced)
 	}
-	if adaptive {
-		res := val.(usimrank.AdaptiveResult)
-		resp.Score = res.Score
-		resp.Adaptive = s.noteAdaptive(res, req.Eps, req.Delta, coalesced)
-		resp.Partial = res.Partial
+}
+
+func (q *scoreQuery) response(val any, coalesced bool, prof *obs.Profile) any {
+	resp := ScoreResponse{Alg: q.alg.String(), U: q.U, V: q.V, Coalesced: coalesced, Profile: prof}
+	if res, ok := val.(usimrank.AdaptiveResult); ok {
+		resp.Score, resp.Partial = res.Score, res.Partial
+		resp.Adaptive = adaptiveInfo(res, q.Eps, q.Delta)
 	} else {
 		resp.Score = val.(float64)
 	}
-	if req.Debug {
-		root.End()
-		resp.Profile = tr.Profile()
-	}
-	WriteJSON(w, http.StatusOK, resp)
-}
-
-// debugKey forks a flight key for debug requests: a debug request must
-// lead its own flight (so its profile contains the engine spans) and a
-// non-debug follower must never be handed a response computed under a
-// debug leader. Two concurrent identical debug requests still coalesce
-// with each other; the follower's profile then shows a coalesce span
-// with leader=0 — accurate attribution, it really did no engine work.
-func debugKey(key string, debug bool) string {
-	if debug {
-		return key + "|dbg"
-	}
-	return key
+	return resp
 }
 
 // checkAdaptive validates a request's eps/delta accuracy target,
@@ -533,33 +366,27 @@ func checkAdaptive(w http.ResponseWriter, eps, delta float64) bool {
 	return true
 }
 
-// adaptiveKey appends the accuracy target to a flight key: an
-// eps-bearing query must never share a flight with a full-budget one
-// (different engine call, different response shape), nor with one
-// targeting a different (ε, δ). Exact bit patterns keep distinct float
-// spellings distinct.
-func adaptiveKey(key string, eps, delta float64) string {
-	if eps <= 0 {
-		return key
+// recordAdaptive adds a led adaptive query to the adaptive serving
+// counters; followers shared the leader's sampling, so they add to
+// none of them.
+func (s *Server) recordAdaptive(res usimrank.AdaptiveResult, coalesced bool) {
+	if coalesced {
+		return
 	}
-	return fmt.Sprintf("%s|e%x|d%x", key, math.Float64bits(eps), math.Float64bits(delta))
+	m := s.exec.Metrics
+	m.AdaptiveQueries.Add(1)
+	m.AdaptiveRounds.Add(uint64(res.Rounds))
+	if res.Partial {
+		m.PartialResults.Add(1)
+	}
+	if res.Converged && res.Walks > 0 {
+		m.AdaptiveEarlyStops.Add(1)
+	}
 }
 
-// noteAdaptive converts an engine AdaptiveResult into the response's
-// adaptive block and, for flight leaders, records the adaptive serving
-// counters (followers shared the leader's sampling, so they add to
-// none of them).
-func (s *Server) noteAdaptive(res usimrank.AdaptiveResult, eps, delta float64, coalesced bool) *AdaptiveInfo {
-	if !coalesced {
-		s.metrics.AdaptiveQueries.Add(1)
-		s.metrics.AdaptiveRounds.Add(uint64(res.Rounds))
-		if res.Partial {
-			s.metrics.PartialResults.Add(1)
-		}
-		if res.Converged && res.Walks > 0 {
-			s.metrics.AdaptiveEarlyStops.Add(1)
-		}
-	}
+// adaptiveInfo converts an engine AdaptiveResult into the response's
+// adaptive block.
+func adaptiveInfo(res usimrank.AdaptiveResult, eps, delta float64) *AdaptiveInfo {
 	if delta == 0 {
 		delta = usimrank.AdaptiveDefaultDelta
 	}
@@ -576,111 +403,122 @@ func (s *Server) noteAdaptive(res usimrank.AdaptiveResult, eps, delta float64, c
 // accepts it).
 const AlgIndexed = "indexed"
 
+// noIndexMsg is the 400 message for alg:"indexed" on a generation
+// served without an index.
+const noIndexMsg = "no reverse-walk index loaded for this generation; start usimd with -index, or reload with an index"
+
 func (s *Server) handleSource(w http.ResponseWriter, r *http.Request) {
 	var req SourceRequest
-	if !s.decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
-	indexed := strings.EqualFold(req.Alg, AlgIndexed)
-	var alg usimrank.Algorithm
-	algName := AlgIndexed
-	if !indexed {
+	q := &sourceQuery{SourceRequest: req, algName: AlgIndexed, indexed: strings.EqualFold(req.Alg, AlgIndexed)}
+	if !q.indexed {
 		var err error
-		if alg, err = usimrank.ParseAlgorithm(req.Alg); err != nil {
+		if q.alg, err = usimrank.ParseAlgorithm(req.Alg); err != nil {
 			WriteError(w, http.StatusBadRequest, CodeBadRequest,
 				err.Error()+` (or "indexed" on an index-serving node)`)
 			return
 		}
-		algName = alg.String()
+		q.algName = q.alg.String()
 	}
 	if !checkAdaptive(w, req.Eps, req.Delta) {
 		return
 	}
 	h := s.engine()
 	defer h.release()
-	if indexed && h.idx == nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest,
-			"no reverse-walk index loaded for this generation; start usimd with -index, or reload with an index")
+	if q.indexed && h.idx == nil {
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, noIndexMsg)
 		return
 	}
 	if !s.checkVertices(w, h, append([]int{req.U}, req.Candidates...)...) {
 		return
 	}
-	// nil candidates (full sweep) and an explicit empty list are
-	// different queries; keep their flight keys distinct.
-	candKey := "all"
-	if req.Candidates != nil {
-		candKey = DigestInts(req.Candidates)
-	}
-	key := fmt.Sprintf("source|g%d|%s|%d|%s", h.gen, algName, req.U, candKey)
-	key = adaptiveKey(key, req.Eps, req.Delta)
-	key = debugKey(key, req.Debug)
-	adaptive := req.Eps > 0
-	ao := usimrank.AdaptiveOptions{Eps: req.Eps, Delta: req.Delta}
-	tr, root := s.traceFor(r, "source", req.Debug)
-	val, coalesced, ok := s.execute(w, r, "source", algName, req.TimeoutMs, adaptive, key, h, tr, root, func(ctx context.Context) (any, error) {
-		switch {
-		case indexed && adaptive && req.Candidates == nil:
-			return h.eng.AdaptiveSingleSourceIndexedCtx(ctx, h.idx, req.U, ao)
-		case indexed && adaptive:
-			return h.eng.AdaptiveSingleSourceIndexedAgainstCtx(ctx, h.idx, req.U, req.Candidates, ao)
-		case indexed && req.Candidates == nil:
-			return h.eng.SingleSourceIndexedCtx(ctx, h.idx, req.U)
-		case indexed:
-			return h.eng.SingleSourceIndexedAgainstCtx(ctx, h.idx, req.U, req.Candidates)
-		case adaptive && req.Candidates == nil:
-			return h.eng.AdaptiveSingleSourceCtx(ctx, alg, req.U, ao)
-		case adaptive:
-			return h.eng.AdaptiveSingleSourceAgainstCtx(ctx, alg, req.U, req.Candidates, ao)
-		case req.Candidates == nil:
-			return h.eng.SingleSourceCtx(ctx, alg, req.U)
-		default:
-			return h.eng.SingleSourceAgainstCtx(ctx, alg, req.U, req.Candidates)
+	s.serve(w, r, h, q,
+		Call{Shape: "source", Alg: q.algName, TimeoutMs: req.TimeoutMs, Cheap: req.Eps > 0}, req.Debug)
+}
+
+type sourceQuery struct {
+	SourceRequest
+	alg     usimrank.Algorithm // undefined when indexed
+	algName string
+	indexed bool
+}
+
+func (q *sourceQuery) key(gen uint64) string { return q.FlightKey(gen, q.algName) }
+
+func (q *sourceQuery) compute(h *engineHandle) func(ctx context.Context) (any, error) {
+	return func(ctx context.Context) (any, error) {
+		ao := usimrank.AdaptiveOptions{Eps: q.Eps, Delta: q.Delta}
+		adaptive, all := q.Eps > 0, q.Candidates == nil
+		if q.indexed {
+			if h.idx == nil {
+				// Only a push can get here: a reload dropped the index under
+				// its subscription.
+				return nil, fmt.Errorf("no reverse-walk index loaded for generation %d", h.gen)
+			}
+			switch {
+			case adaptive && all:
+				return h.eng.AdaptiveSingleSourceIndexedCtx(ctx, h.idx, q.U, ao)
+			case adaptive:
+				return h.eng.AdaptiveSingleSourceIndexedAgainstCtx(ctx, h.idx, q.U, q.Candidates, ao)
+			case all:
+				return h.eng.SingleSourceIndexedCtx(ctx, h.idx, q.U)
+			default:
+				return h.eng.SingleSourceIndexedAgainstCtx(ctx, h.idx, q.U, q.Candidates)
+			}
 		}
-	})
-	if !ok {
-		return
+		switch {
+		case adaptive && all:
+			return h.eng.AdaptiveSingleSourceCtx(ctx, q.alg, q.U, ao)
+		case adaptive:
+			return h.eng.AdaptiveSingleSourceAgainstCtx(ctx, q.alg, q.U, q.Candidates, ao)
+		case all:
+			return h.eng.SingleSourceCtx(ctx, q.alg, q.U)
+		default:
+			return h.eng.SingleSourceAgainstCtx(ctx, q.alg, q.U, q.Candidates)
+		}
 	}
-	if indexed {
+}
+
+func (q *sourceQuery) record(s *Server, h *engineHandle, val any, coalesced bool) {
+	if q.indexed {
 		s.indexQueries.Add(1)
 		if !coalesced {
 			// One probe per (candidate, step) pair; the residual sample is
 			// one N-walk stream regardless of candidate count. Followers
 			// shared the leader's work, so they add to neither.
-			cands := len(req.Candidates)
-			if req.Candidates == nil {
+			cands := len(q.Candidates)
+			if q.Candidates == nil {
 				cands = h.graph.NumVertices()
 			}
 			s.indexRowsProbed.Add(uint64(cands) * uint64(h.eng.Options().Steps+1))
 			s.indexResidualWalks.Add(uint64(h.idx.Samples()))
 		}
 	}
-	resp := SourceResponse{
-		Alg: algName, U: req.U, Candidates: req.Candidates, Coalesced: coalesced,
+	if res, ok := val.(usimrank.AdaptiveResult); ok {
+		s.recordAdaptive(res, coalesced)
 	}
-	if adaptive {
-		res := val.(usimrank.AdaptiveResult)
-		resp.Scores = res.Scores
-		resp.Adaptive = s.noteAdaptive(res, req.Eps, req.Delta, coalesced)
-		resp.Partial = res.Partial
+}
+
+func (q *sourceQuery) response(val any, coalesced bool, prof *obs.Profile) any {
+	resp := SourceResponse{Alg: q.algName, U: q.U, Candidates: q.Candidates, Coalesced: coalesced, Profile: prof}
+	if res, ok := val.(usimrank.AdaptiveResult); ok {
+		resp.Scores, resp.Partial = res.Scores, res.Partial
+		resp.Adaptive = adaptiveInfo(res, q.Eps, q.Delta)
 	} else {
 		resp.Scores = val.([]float64)
 	}
-	if req.Debug {
-		root.End()
-		resp.Profile = tr.Profile()
-	}
-	WriteJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var req TopKRequest
-	if !s.decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
-	alg, err := usimrank.ParseAlgorithm(req.Alg)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+	alg, ok := ParseAlg(w, req.Alg)
+	if !ok {
 		return
 	}
 	if req.K < 1 {
@@ -696,12 +534,10 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	h := s.engine()
 	defer h.release()
-	var key string
 	if req.U != nil {
 		if !s.checkVertices(w, h, *req.U) {
 			return
 		}
-		key = fmt.Sprintf("topk|g%d|%s|u%d|k%d", h.gen, alg, *req.U, req.K)
 	} else if req.Sources != nil {
 		if !s.checkVertices(w, h, req.Sources...) {
 			return
@@ -715,97 +551,104 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			}
 			seen[u] = true
 		}
-		key = fmt.Sprintf("topk|g%d|%s|pairs|k%d|s%s", h.gen, alg, req.K, DigestInts(req.Sources))
-	} else {
-		key = fmt.Sprintf("topk|g%d|%s|pairs|k%d", h.gen, alg, req.K)
 	}
-	key = adaptiveKey(key, req.Eps, req.Delta)
-	key = debugKey(key, req.Debug)
-	adaptive := req.Eps > 0
-	ao := usimrank.AdaptiveOptions{Eps: req.Eps, Delta: req.Delta}
-	tr, root := s.traceFor(r, "topk", req.Debug)
-	val, coalesced, ok := s.execute(w, r, "topk", alg.String(), req.TimeoutMs, adaptive, key, h, tr, root, func(ctx context.Context) (any, error) {
-		switch {
-		case adaptive && req.U != nil:
-			ranked, res, err := usimrank.TopKSimilarAdaptiveCtx(ctx, h.eng, alg, *req.U, req.K, ao)
-			return adaptiveTopK{ranked, res}, err
-		case adaptive:
-			ranked, res, err := usimrank.TopKPairsAdaptiveCtx(ctx, h.eng, alg, req.K, req.Sources, ao)
-			return adaptiveTopK{ranked, res}, err
-		case req.U != nil:
-			return usimrank.TopKSimilarCtx(ctx, h.eng, alg, *req.U, req.K)
-		case req.Sources != nil:
-			return usimrank.TopKPairsAmongCtx(ctx, h.eng, alg, req.K, req.Sources)
-		default:
-			return usimrank.TopKPairsCtx(ctx, h.eng, alg, req.K)
-		}
-	})
-	if !ok {
-		return
-	}
-	resp := TopKResponse{
-		Alg: alg.String(), U: req.U, K: req.K, Coalesced: coalesced,
-	}
-	var results []usimrank.TopKResult
-	if adaptive {
-		at := val.(adaptiveTopK)
-		results = at.results
-		resp.Adaptive = s.noteAdaptive(at.res, req.Eps, req.Delta, coalesced)
-		resp.Partial = at.res.Partial
-	} else {
-		results = val.([]usimrank.TopKResult)
-	}
-	out := make([]PairScore, len(results))
-	for i, res := range results {
-		out[i] = PairScore{U: res.U, V: res.V, Score: res.Score}
-	}
-	resp.Results = out
-	if req.Debug {
-		root.End()
-		resp.Profile = tr.Profile()
-	}
-	WriteJSON(w, http.StatusOK, resp)
+	s.serve(w, r, h, &topkQuery{req, alg},
+		Call{Shape: "topk", Alg: alg.String(), TimeoutMs: req.TimeoutMs, Cheap: req.Eps > 0}, req.Debug)
+}
+
+type topkQuery struct {
+	TopKRequest
+	alg usimrank.Algorithm
 }
 
 // adaptiveTopK bundles a ranked list with its sweep's accuracy report
-// through execute's any-typed flight value.
+// through the flight's any-typed value.
 type adaptiveTopK struct {
 	results []usimrank.TopKResult
 	res     usimrank.AdaptiveResult
 }
 
+func (q *topkQuery) key(gen uint64) string { return q.FlightKey(gen, q.alg.String()) }
+
+func (q *topkQuery) compute(h *engineHandle) func(ctx context.Context) (any, error) {
+	return func(ctx context.Context) (any, error) {
+		ao := usimrank.AdaptiveOptions{Eps: q.Eps, Delta: q.Delta}
+		switch {
+		case q.Eps > 0 && q.U != nil:
+			ranked, res, err := usimrank.TopKSimilarAdaptiveCtx(ctx, h.eng, q.alg, *q.U, q.K, ao)
+			return adaptiveTopK{ranked, res}, err
+		case q.Eps > 0:
+			ranked, res, err := usimrank.TopKPairsAdaptiveCtx(ctx, h.eng, q.alg, q.K, q.Sources, ao)
+			return adaptiveTopK{ranked, res}, err
+		case q.U != nil:
+			return usimrank.TopKSimilarCtx(ctx, h.eng, q.alg, *q.U, q.K)
+		case q.Sources != nil:
+			return usimrank.TopKPairsAmongCtx(ctx, h.eng, q.alg, q.K, q.Sources)
+		default:
+			return usimrank.TopKPairsCtx(ctx, h.eng, q.alg, q.K)
+		}
+	}
+}
+
+func (q *topkQuery) record(s *Server, _ *engineHandle, val any, coalesced bool) {
+	if at, ok := val.(adaptiveTopK); ok {
+		s.recordAdaptive(at.res, coalesced)
+	}
+}
+
+func (q *topkQuery) response(val any, coalesced bool, prof *obs.Profile) any {
+	resp := TopKResponse{Alg: q.alg.String(), U: q.U, K: q.K, Coalesced: coalesced, Profile: prof}
+	results, ok := val.([]usimrank.TopKResult)
+	if !ok {
+		at := val.(adaptiveTopK)
+		results, resp.Partial = at.results, at.res.Partial
+		resp.Adaptive = adaptiveInfo(at.res, q.Eps, q.Delta)
+	}
+	resp.Results = make([]PairScore, len(results))
+	for i, res := range results {
+		resp.Results[i] = PairScore{U: res.U, V: res.V, Score: res.Score}
+	}
+	return resp
+}
+
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
-	alg, err := usimrank.ParseAlgorithm(req.Alg)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+	alg, ok := ParseAlg(w, req.Alg)
+	if !ok {
 		return
 	}
 	if len(req.Pairs) == 0 {
 		WriteError(w, http.StatusBadRequest, CodeBadRequest, "empty pairs")
 		return
 	}
-	h := s.engine()
-	defer h.release()
 	// Out-of-range pairs surface as per-pair errors, not request
 	// errors: a batch is a bulk operation and one bad pair should not
 	// void the rest.
-	flat := make([]int, 0, 2*len(req.Pairs))
-	for _, p := range req.Pairs {
-		flat = append(flat, p[0], p[1])
+	h := s.engine()
+	defer h.release()
+	s.serve(w, r, h, &batchQuery{req, alg},
+		Call{Shape: "batch", Alg: alg.String(), TimeoutMs: req.TimeoutMs}, req.Debug)
+}
+
+type batchQuery struct {
+	BatchRequest
+	alg usimrank.Algorithm
+}
+
+func (q *batchQuery) key(gen uint64) string { return q.FlightKey(gen, q.alg.String()) }
+
+func (q *batchQuery) compute(h *engineHandle) func(ctx context.Context) (any, error) {
+	return func(ctx context.Context) (any, error) {
+		return usimrank.BatchCtx(ctx, h.eng, q.alg, q.Pairs, 0)
 	}
-	key := fmt.Sprintf("batch|g%d|%s|%s", h.gen, alg, DigestInts(flat))
-	key = debugKey(key, req.Debug)
-	tr, root := s.traceFor(r, "batch", req.Debug)
-	val, coalesced, ok := s.execute(w, r, "batch", alg.String(), req.TimeoutMs, false, key, h, tr, root, func(ctx context.Context) (any, error) {
-		return usimrank.BatchCtx(ctx, h.eng, alg, req.Pairs, 0)
-	})
-	if !ok {
-		return
-	}
+}
+
+func (q *batchQuery) record(*Server, *engineHandle, any, bool) {}
+
+func (q *batchQuery) response(val any, coalesced bool, prof *obs.Profile) any {
 	results := val.([]usimrank.PairResult)
 	out := make([]BatchPairResult, len(results))
 	for i, res := range results {
@@ -814,12 +657,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out[i].Error = res.Err.Error()
 		}
 	}
-	resp := BatchResponse{Alg: alg.String(), Results: out, Coalesced: coalesced}
-	if req.Debug {
-		root.End()
-		resp.Profile = tr.Profile()
-	}
-	WriteJSON(w, http.StatusOK, resp)
+	return BatchResponse{Alg: q.alg.String(), Results: out, Coalesced: coalesced, Profile: prof}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -877,17 +715,17 @@ func (s *Server) Stats() StatsResponse {
 			RowCacheCap:       opt.RowCacheSize,
 			RowCacheEvictions: rcEvict,
 		},
-		Serving:       s.metrics.ServingStats(s.cfg.MaxInFlight),
-		Coalescing:    s.metrics.CoalescingStats(),
-		Queries:       s.metrics.QueryStats(),
+		Serving:       s.exec.Metrics.ServingStats(s.cfg.MaxInFlight),
+		Coalescing:    s.exec.Metrics.CoalescingStats(),
+		Queries:       s.exec.Metrics.QueryStats(),
 		Index:         idxStats,
-		Subscriptions: subscriptionStats(s.subs),
+		Subscriptions: SubscriptionStatsFrom(s.subs),
 	}
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	var req ReloadRequest
-	if !s.decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Graph == "" {
@@ -965,7 +803,7 @@ func (s *Server) Reload(path string, warm bool, indexPath string) (*ReloadRespon
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req UpdateRequest
-	if !s.decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if s.cfg.MaxUpdateBatch < 0 {
@@ -1070,19 +908,6 @@ func (s *Server) ApplyUpdates(ups []usimrank.ArcUpdate) (*UpdateResponse, error)
 	}, nil
 }
 
-// DigestInts returns a fixed-size FNV-128a digest of an operand list,
-// keeping coalescing keys O(1) in payload size (a 100k-pair batch must
-// not build and compare megabyte key strings under the flight mutex).
-func DigestInts(xs []int) string {
-	h := fnv.New128a()
-	var buf [8]byte
-	for _, x := range xs {
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(x)))
-		h.Write(buf[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // checkVertices validates vertex ids against the pinned graph, writing
 // a 400 on the first violation.
 func (s *Server) checkVertices(w http.ResponseWriter, h *engineHandle, vs ...int) bool {
@@ -1093,22 +918,6 @@ func (s *Server) checkVertices(w http.ResponseWriter, h *engineHandle, vs ...int
 				fmt.Sprintf("vertex %d out of range [0,%d)", v, n))
 			return false
 		}
-	}
-	return true
-}
-
-// MaxBodyBytes bounds request bodies (8 MiB ≈ a ~350k-pair batch):
-// admission control is pointless if an unbounded JSON body can balloon
-// memory before the semaphore is ever consulted.
-const MaxBodyBytes = 8 << 20
-
-// decodeBody decodes a JSON request body, writing a 400 on failure.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "bad JSON body: "+err.Error())
-		return false
 	}
 	return true
 }
@@ -1147,27 +956,24 @@ func WriteError(w http.ResponseWriter, status int, code, msg string) {
 	WriteJSON(w, status, ErrorResponse{Error: ErrorDetail{Code: code, Message: msg}})
 }
 
-// logLoop periodically logs a one-line serving summary until Close.
-func (s *Server) logLoop() {
-	t := time.NewTicker(s.cfg.LogEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.baseCtx.Done():
-			return
-		case <-t.C:
-			st := s.Stats()
-			var queries, errs uint64
-			for _, q := range st.Queries {
-				queries += q.Count
-				errs += q.Errors
-			}
-			s.cfg.Logger.Printf(
-				"stats: gen=%d queries=%d errors=%d in_flight=%d coalesce_rate=%.2f rejected=%d deadline=%d row_cache=%d/%d evictions=%d",
-				st.Graph.Generation, queries, errs, st.Serving.InFlight,
-				st.Coalescing.HitRate, st.Serving.AdmissionRejected,
-				st.Serving.DeadlineExceeded, st.Engine.RowCacheLen,
-				st.Engine.RowCacheCap, st.Engine.RowCacheEvictions)
-		}
+// decodeBody strictly decodes a size-capped JSON request body, writing
+// a 400 on failure.
+func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
+	return DecodeJSON(w, http.MaxBytesReader(w, r.Body, MaxBodyBytes), into)
+}
+
+// logStats logs the one-line serving summary of Config.LogEvery.
+func (s *Server) logStats() {
+	st := s.Stats()
+	var queries, errs uint64
+	for _, q := range st.Queries {
+		queries += q.Count
+		errs += q.Errors
 	}
+	s.cfg.Logger.Printf(
+		"stats: gen=%d queries=%d errors=%d in_flight=%d coalesce_rate=%.2f rejected=%d deadline=%d row_cache=%d/%d evictions=%d",
+		st.Graph.Generation, queries, errs, st.Serving.InFlight,
+		st.Coalescing.HitRate, st.Serving.AdmissionRejected,
+		st.Serving.DeadlineExceeded, st.Engine.RowCacheLen,
+		st.Engine.RowCacheCap, st.Engine.RowCacheEvictions)
 }

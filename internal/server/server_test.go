@@ -59,7 +59,9 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 // goroutine (no testing.T calls).
 func callE(h http.Handler, method, path string, body, out any) (int, error) {
 	var buf bytes.Buffer
-	if body != nil {
+	if raw, ok := body.([]byte); ok {
+		buf.Write(raw) // sent verbatim, e.g. deliberately malformed JSON
+	} else if body != nil {
 		if err := json.NewEncoder(&buf).Encode(body); err != nil {
 			return 0, err
 		}
@@ -223,6 +225,11 @@ func TestValidationErrors(t *testing.T) {
 		{"empty batch", "/v1/batch", BatchRequest{Alg: "srsp"}, 400, CodeBadRequest},
 		{"missing reload graph", "/v1/admin/reload", ReloadRequest{}, 400, CodeBadRequest},
 		{"reload bad path", "/v1/admin/reload", ReloadRequest{Graph: "/nonexistent/graph.ug"}, 400, CodeBadRequest},
+		{"trailing garbage", "/v1/score", []byte(`{"alg":"baseline","u":0,"v":1}garbage`), 400, CodeBadRequest},
+		{"trailing object", "/v1/source", []byte(`{"alg":"baseline","u":0}{"alg":"baseline","u":1}`), 400, CodeBadRequest},
+		{"trailing brace", "/v1/topk", []byte(`{"alg":"baseline","u":0,"k":2}}`), 400, CodeBadRequest},
+		{"trailing number", "/v1/batch", []byte(`{"alg":"baseline","pairs":[[0,1]]} 7`), 400, CodeBadRequest},
+		{"trailing data on update", "/v1/admin/update", []byte(`{"updates":[{"op":"delete","u":0,"v":1}]},`), 400, CodeBadRequest},
 	}
 	for _, tc := range cases {
 		var errResp ErrorResponse
@@ -252,6 +259,10 @@ func TestValidationErrors(t *testing.T) {
 	if rec.Code != 400 {
 		t.Fatalf("bad JSON: status %d", rec.Code)
 	}
+	// Trailing whitespace is not trailing data.
+	if code := call(t, s, "POST", "/v1/score", []byte("{\"alg\":\"baseline\",\"u\":0,\"v\":1} \r\n\t"), nil); code != 200 {
+		t.Fatalf("body with trailing whitespace: status %d", code)
+	}
 }
 
 // TestAdmissionControl: with every slot occupied and no admission
@@ -259,10 +270,10 @@ func TestValidationErrors(t *testing.T) {
 func TestAdmissionControl(t *testing.T) {
 	s := newTestServer(t, Config{Engine: testOptions(), MaxInFlight: 1, AdmissionWait: -1})
 	// Occupy the single slot out-of-band.
-	if !s.adm.Acquire(t.Context()) {
+	if !s.exec.Admission.Acquire(t.Context()) {
 		t.Fatal("could not occupy the only slot")
 	}
-	defer s.adm.Release()
+	defer s.exec.Admission.Release()
 	var errResp ErrorResponse
 	if code := call(t, s, "POST", "/v1/score", ScoreRequest{Alg: "srsp", U: 0, V: 1}, &errResp); code != 429 {
 		t.Fatalf("saturated server: status %d, want 429", code)

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"usimrank"
@@ -101,183 +99,105 @@ func SubscriptionStatsFrom(r *sub.Registry) *SubscriptionStats {
 	}
 }
 
-func subscriptionStats(r *sub.Registry) *SubscriptionStats { return SubscriptionStatsFrom(r) }
-
-// subQuery is one subscription's parsed query shape: everything needed
-// to recompute its answer against any engine handle.
+// subQuery is one subscription's parsed query: the cold query it
+// stands for, plus the vertices it references and watches.
 type subQuery struct {
-	shape      string // "score" | "source" | "topk"
-	algName    string
-	alg        usimrank.Algorithm // undefined when indexed
-	indexed    bool
-	u, v, k    int
-	candidates []int
-}
-
-// watched is the vertex set registered in the inverted index: both
-// endpoints for a score shape, the source plus any explicit candidates
-// for a source shape, the source for a top-k shape. A subscription is
-// woken when an update's invalidation BFS reaches one of these.
-// watched is the vertex set whose touched-source membership forces a
-// recompute. The invalidation BFS reports per-SIDE sources: an answer
-// is bit-identical across an update only when every constituent
-// source — each side of each pair the shape evaluates — stays outside
-// the touched set. Score and candidate-restricted source enumerate
-// their constituents; top-k of u and the unrestricted single-source
-// vector evaluate a pair against EVERY vertex, so any touched v-side
-// row can move their answer even when u itself is unaffected — they
-// watch sub.AnyVertex and wake on every non-empty invalidation set.
-func (q *subQuery) watched() []int32 {
-	switch q.shape {
-	case "score":
-		if q.u == q.v {
-			return []int32{int32(q.u)}
-		}
-		return []int32{int32(q.u), int32(q.v)}
-	case "source":
-		if len(q.candidates) == 0 {
-			return []int32{sub.AnyVertex}
-		}
-		vs := []int32{int32(q.u)}
-		for _, c := range q.candidates {
-			if c != q.u {
-				vs = append(vs, int32(c))
-			}
-		}
-		return vs
-	default: // topk
-		return []int32{sub.AnyVertex}
-	}
-}
-
-// vertexArgs is every vertex id the shape references, for range checks.
-func (q *subQuery) vertexArgs() []int {
-	switch q.shape {
-	case "score":
-		return []int{q.u, q.v}
-	case "source":
-		return append([]int{q.u}, q.candidates...)
-	default:
-		return []int{q.u}
-	}
-}
-
-// flightKey builds the same coalescing key the cold handler of this
-// shape would use (minus execute's timeout suffix), so a push shares
-// its flight with concurrent identical pushes and cold queries — one
-// computation per (shape, operand, generation).
-func (q *subQuery) flightKey(gen uint64) string {
-	switch q.shape {
-	case "score":
-		return fmt.Sprintf("score|g%d|%s|%d|%d", gen, q.algName, q.u, q.v)
-	case "source":
-		candKey := "all"
-		if q.candidates != nil {
-			candKey = DigestInts(q.candidates)
-		}
-		return fmt.Sprintf("source|g%d|%s|%d|%s", gen, q.algName, q.u, candKey)
-	default:
-		return fmt.Sprintf("topk|g%d|%s|u%d|k%d", gen, q.algName, q.u, q.k)
-	}
-}
-
-// run computes the shape's answer on h — the same engine calls the
-// cold handlers make.
-func (q *subQuery) run(ctx context.Context, h *engineHandle) (any, error) {
-	if q.indexed && h.idx == nil {
-		return nil, fmt.Errorf("no reverse-walk index loaded for generation %d", h.gen)
-	}
-	switch q.shape {
-	case "score":
-		return h.eng.ComputeCtx(ctx, q.alg, q.u, q.v)
-	case "source":
-		switch {
-		case q.indexed && q.candidates == nil:
-			return h.eng.SingleSourceIndexedCtx(ctx, h.idx, q.u)
-		case q.indexed:
-			return h.eng.SingleSourceIndexedAgainstCtx(ctx, h.idx, q.u, q.candidates)
-		case q.candidates == nil:
-			return h.eng.SingleSourceCtx(ctx, q.alg, q.u)
-		default:
-			return h.eng.SingleSourceAgainstCtx(ctx, q.alg, q.u, q.candidates)
-		}
-	default:
-		return usimrank.TopKSimilarCtx(ctx, h.eng, q.alg, q.u, q.k)
-	}
-}
-
-// response wraps a computed value in the shape's wire struct, exactly
-// as the cold handler builds it for an uncoalesced, non-debug request.
-func (q *subQuery) response(val any) any {
-	switch q.shape {
-	case "score":
-		return ScoreResponse{Alg: q.algName, U: q.u, V: q.v, Score: val.(float64)}
-	case "source":
-		return SourceResponse{Alg: q.algName, U: q.u, Candidates: q.candidates, Scores: val.([]float64)}
-	default:
-		results := val.([]usimrank.TopKResult)
-		out := make([]PairScore, len(results))
-		for i, res := range results {
-			out[i] = PairScore{U: res.U, V: res.V, Score: res.Score}
-		}
-		u := q.u
-		return TopKResponse{Alg: q.algName, U: &u, K: q.k, Results: out}
-	}
+	q       query
+	indexed bool
+	// vertices is every vertex id the shape references, for range
+	// checks.
+	vertices []int
+	// watched is the vertex set whose touched-source membership forces
+	// a recompute, registered in the inverted index. The invalidation
+	// BFS reports per-SIDE sources: an answer is bit-identical across an
+	// update only when every constituent source — each side of each
+	// pair the shape evaluates — stays outside the touched set. Score
+	// and candidate-restricted source enumerate their constituents;
+	// top-k of u and the unrestricted single-source vector evaluate a
+	// pair against EVERY vertex, so any touched v-side row can move
+	// their answer even when u itself is unaffected — they watch
+	// sub.AnyVertex and wake on every non-empty invalidation set.
+	watched []int32
 }
 
 // parseSubQuery validates the request's query parameters into a
 // subQuery, writing the 400 itself on failure.
 func (s *Server) parseSubQuery(w http.ResponseWriter, r *http.Request) (*subQuery, bool) {
 	qp := r.URL.Query()
-	q := &subQuery{shape: qp.Get("shape")}
-	switch q.shape {
+	shape := qp.Get("shape")
+	switch shape {
 	case "score", "source", "topk":
 	default:
 		WriteError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("shape %q must be score, source or topk", q.shape))
+			fmt.Sprintf("shape %q must be score, source or topk", shape))
 		return nil, false
 	}
 	rawAlg := qp.Get("alg")
-	q.indexed = q.shape == "source" && strings.EqualFold(rawAlg, AlgIndexed)
-	if q.indexed {
-		q.algName = AlgIndexed
-	} else {
-		alg, err := usimrank.ParseAlgorithm(rawAlg)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+	sq := &subQuery{indexed: shape == "source" && strings.EqualFold(rawAlg, AlgIndexed)}
+	var alg usimrank.Algorithm
+	if !sq.indexed {
+		var ok bool
+		if alg, ok = ParseAlg(w, rawAlg); !ok {
 			return nil, false
 		}
-		q.alg, q.algName = alg, alg.String()
 	}
-	var ok bool
-	if q.u, ok = intParam(w, qp.Get("u"), "u", true); !ok {
+	u, ok := intParam(w, qp.Get("u"), "u", true)
+	if !ok {
 		return nil, false
 	}
-	switch q.shape {
+	switch shape {
 	case "score":
-		if q.v, ok = intParam(w, qp.Get("v"), "v", true); !ok {
+		v, ok := intParam(w, qp.Get("v"), "v", true)
+		if !ok {
 			return nil, false
+		}
+		sq.q = &scoreQuery{ScoreRequest{Alg: rawAlg, U: u, V: v}, alg}
+		sq.vertices = []int{u, v}
+		sq.watched = []int32{int32(u)}
+		if v != u {
+			sq.watched = append(sq.watched, int32(v))
 		}
 	case "topk":
-		if q.k, ok = intParam(w, qp.Get("k"), "k", true); !ok {
+		k, ok := intParam(w, qp.Get("k"), "k", true)
+		if !ok {
 			return nil, false
 		}
-		if q.k < 1 {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("k = %d < 1", q.k))
+		if k < 1 {
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("k = %d < 1", k))
 			return nil, false
 		}
+		sq.q = &topkQuery{TopKRequest{Alg: rawAlg, U: &u, K: k}, alg}
+		sq.vertices = []int{u}
+		sq.watched = []int32{sub.AnyVertex}
 	case "source":
+		var cands []int
 		if raw := qp.Get("candidates"); raw != "" {
 			for _, part := range strings.Split(raw, ",") {
 				c, ok := intParam(w, part, "candidates", true)
 				if !ok {
 					return nil, false
 				}
-				q.candidates = append(q.candidates, c)
+				cands = append(cands, c)
+			}
+		}
+		q := &sourceQuery{SourceRequest: SourceRequest{Alg: rawAlg, U: u, Candidates: cands},
+			alg: alg, algName: AlgIndexed, indexed: sq.indexed}
+		if !q.indexed {
+			q.algName = alg.String()
+		}
+		sq.q = q
+		sq.vertices = append([]int{u}, cands...)
+		sq.watched = []int32{sub.AnyVertex}
+		if len(cands) > 0 {
+			sq.watched = []int32{int32(u)}
+			for _, c := range cands {
+				if c != u {
+					sq.watched = append(sq.watched, int32(c))
+				}
 			}
 		}
 	}
-	return q, true
+	return sq, true
 }
 
 // intParam parses one integer query parameter, writing the 400 itself.
@@ -296,57 +216,27 @@ func intParam(w http.ResponseWriter, raw, name string, required bool) (int, bool
 	return v, true
 }
 
-// pushBody computes the subscription's answer against h and encodes it
-// exactly as the cold handler would. The computation rides the shared
-// FlightGroup under the cold key, so concurrent identical pushes (and
-// cold queries) collapse into one engine call, and it takes a regular
-// admission slot, so a thundering herd of woken subscriptions
-// recomputes in bounded batches rather than all at once. The caller
-// keeps ownership of its pin on h; the flight takes its own.
-//
-// Pushes deliberately do not record into the per-shape query metrics:
-// they are server-initiated work, and counting them would skew the
-// client-facing latency and coalesce-rate numbers.
-func (s *Server) pushBody(q *subQuery, h *engineHandle) ([]byte, error) {
-	timeout := s.cfg.QueryTimeout
-	key := fmt.Sprintf("%s|t%d", q.flightKey(h.gen), timeout.Milliseconds())
-	waitCtx, cancelWait := context.WithTimeout(s.baseCtx, timeout)
-	defer cancelWait()
-
-	release := s.adm.AcquireTier(waitCtx, false)
-	if release == nil {
-		s.metrics.AdmissionRejected.Add(1)
-		return nil, fmt.Errorf("push rejected: server saturated (%d queries in flight)", s.cfg.MaxInFlight)
-	}
-	s.metrics.InFlight.Add(1)
-	var relOnce sync.Once
-	releaseSlot := func() {
-		relOnce.Do(func() {
-			s.metrics.InFlight.Add(-1)
-			release()
-		})
-	}
-	defer releaseSlot()
-
-	val, _, err := s.flights.Do(waitCtx, key, releaseSlot, func() func() (any, error) {
-		h.tryAcquire()
-		fctx, cancelFlight := context.WithTimeout(s.baseCtx, timeout)
-		return func() (any, error) {
-			defer h.release()
-			defer cancelFlight()
-			return q.run(fctx, h)
-		}
+// pushBody computes a subscription's answer against h and encodes it
+// exactly as the cold handler would: the push runs through the
+// executor under the cold query's flight key (see Executor.push). The
+// caller keeps ownership of its pin on h; the flight takes its own.
+func (s *Server) pushBody(q query, h *engineHandle) ([]byte, error) {
+	val, err := s.exec.push(Call{
+		Key: q.key(h.gen),
+		Pin: h.pin,
+		Run: q.compute(h),
 	})
 	if err != nil {
 		return nil, err
 	}
-	return MarshalBody(q.response(val))
+	return MarshalBody(q.response(val, false, nil))
 }
 
-// writeTerminal emits a terminal event (shutdown/gone/error) carrying
+// WriteTerminal emits a terminal event (shutdown/gone/error) carrying
 // the uniform error envelope as its payload, then flushes. Best-effort:
-// the client may already be gone.
-func writeTerminal(w http.ResponseWriter, fl http.Flusher, event string, id uint64, code, msg string) {
+// the client may already be gone. The coordinator's relays end their
+// streams through it too.
+func WriteTerminal(w http.ResponseWriter, fl http.Flusher, event string, id uint64, code, msg string) {
 	body, err := MarshalBody(ErrorResponse{Error: ErrorDetail{Code: code, Message: msg}})
 	if err != nil {
 		return
@@ -386,20 +276,19 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	// push, never for the stream's lifetime, so idle subscribers cannot
 	// wedge a hot-swap's drain.
 	h := s.engine()
-	if !s.checkVertices(w, h, q.vertexArgs()...) {
+	if !s.checkVertices(w, h, q.vertices...) {
 		h.release()
 		return
 	}
 	if q.indexed && h.idx == nil {
 		h.release()
-		WriteError(w, http.StatusBadRequest, CodeBadRequest,
-			"no reverse-walk index loaded for this generation; start usimd with -index, or reload with an index")
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, noIndexMsg)
 		return
 	}
 	bootGen := h.gen
 	h.release()
 
-	su := s.subs.Subscribe(q.watched(), staleness)
+	su := s.subs.Subscribe(q.watched, staleness)
 	if su == nil {
 		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, "server shutting down")
 		return
@@ -428,11 +317,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	// picks it up (pushes with gen ≤ lastSent are skipped, so nothing is
 	// sent twice either).
 	if sh := s.engine(); sh.gen != lastSent {
-		body, err := s.pushBody(q, sh)
+		body, err := s.pushBody(q.q, sh)
 		if err != nil {
 			sh.release()
 			s.subs.NoteDropped()
-			writeTerminal(w, fl, EventError, 0, CodeEngineError, "snapshot failed: "+err.Error())
+			WriteTerminal(w, fl, EventError, 0, CodeEngineError, "snapshot failed: "+err.Error())
 			return
 		}
 		if sub.WriteEvent(w, EventSnapshot, sh.gen, body) != nil {
@@ -446,6 +335,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		sh.release()
 	}
 
+	shutdown := func() {
+		WriteTerminal(w, fl, EventShutdown, lastSent, CodeUnavailable,
+			"server shutting down; resubscribe with Last-Event-ID to resume")
+	}
 	hb := time.NewTicker(s.cfg.SubHeartbeat)
 	defer hb.Stop()
 	ctx := r.Context()
@@ -454,12 +347,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		case <-ctx.Done():
 			return
 		case <-s.subs.ShuttingDown():
-			writeTerminal(w, fl, EventShutdown, lastSent, CodeUnavailable,
-				"server shutting down; resubscribe with Last-Event-ID to resume")
+			shutdown()
 			return
 		case <-s.baseCtx.Done():
-			writeTerminal(w, fl, EventShutdown, lastSent, CodeUnavailable,
-				"server shutting down; resubscribe with Last-Event-ID to resume")
+			shutdown()
 			return
 		case <-hb.C:
 			if sub.WriteComment(w, "hb") != nil {
@@ -488,8 +379,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 						return
 					case <-s.subs.ShuttingDown():
 						t.Stop()
-						writeTerminal(w, fl, EventShutdown, lastSent, CodeUnavailable,
-							"server shutting down; resubscribe with Last-Event-ID to resume")
+						shutdown()
 						return
 					}
 				}
@@ -506,30 +396,32 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			}
 			// A reload may have shrunk the graph under the subscription.
 			n := ph.graph.NumVertices()
-			for _, v := range q.vertexArgs() {
+			for _, v := range q.vertices {
 				if v < 0 || v >= n {
 					ph.release()
 					s.subs.NoteDropped()
-					writeTerminal(w, fl, EventGone, lastSent, CodeBadRequest,
+					WriteTerminal(w, fl, EventGone, lastSent, CodeBadRequest,
 						fmt.Sprintf("vertex %d out of range [0,%d) after reload", v, n))
 					return
 				}
 			}
-			body, err := s.pushBody(q, ph)
+			body, err := s.pushBody(q.q, ph)
 			gen := ph.gen
 			ph.release()
 			if err != nil {
 				s.subs.NoteDropped()
-				writeTerminal(w, fl, EventError, lastSent, CodeEngineError, "push failed: "+err.Error())
+				WriteTerminal(w, fl, EventError, lastSent, CodeEngineError, "push failed: "+err.Error())
 				return
 			}
 			if sub.WriteEvent(w, EventUpdate, gen, body) != nil {
 				s.subs.NoteDropped()
 				return
 			}
+			// Counted before the flush, so a client that has read the
+			// event never sees a stats snapshot without it.
+			s.subs.NotePush()
 			fl.Flush()
 			lastSent = gen
-			s.subs.NotePush()
 		}
 	}
 }

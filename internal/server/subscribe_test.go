@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -722,5 +723,93 @@ func TestTopkAndFullSourceWakeWhenOnlyVSideChanges(t *testing.T) {
 	}
 	if want := coldBody(t, s, "/v1/source", SourceRequest{Alg: "sampling", U: u}); !bytes.Equal(fr.Data(), want) {
 		t.Fatalf("source push differs from cold query:\npush: %s\ncold: %s", fr.Data(), want)
+	}
+}
+
+// TestPushSharesColdFlight pins the flight a subscription push uses to
+// the flight of the identical cold, non-debug, non-adaptive query. The
+// push-equals-cold suites pin bytes; this pins coalescing. A flight is
+// held open under the request's FlightKey (plus the default-deadline
+// suffix); the cold POST and the push must both join it as followers —
+// each then waits out the short query deadline, the POST recording a
+// coalesce hit — or, for a query that is not the subscription's, both
+// lead flights of their own and answer.
+func TestPushSharesColdFlight(t *testing.T) {
+	g := testGraph()
+	s := newTestServer(t, Config{
+		Engine:       testOptions(),
+		Index:        buildTestIndex(t, g, testOptions()),
+		QueryTimeout: 100 * time.Millisecond,
+	})
+	three := 3
+	cases := []struct {
+		name, sub, path string
+		cold            interface{ FlightKey(uint64, string) string }
+		alg             string // canonical algorithm name
+		share           bool
+	}{
+		{"score", "shape=score&alg=srsp&u=3&v=17", "/v1/score", ScoreRequest{Alg: "srsp", U: 3, V: 17}, "SR-SP", true},
+		{"score alg spelling", "shape=score&alg=SRSP&u=3&v=17", "/v1/score", ScoreRequest{Alg: "srsp", U: 3, V: 17}, "SR-SP", true},
+		{"source all", "shape=source&alg=sampling&u=5", "/v1/source", SourceRequest{Alg: "sampling", U: 5}, "Sampling", true},
+		{"source empty param is all", "shape=source&alg=sampling&u=5&candidates=", "/v1/source", SourceRequest{Alg: "sampling", U: 5}, "Sampling", true},
+		{"source empty list differs", "shape=source&alg=sampling&u=5", "/v1/source", SourceRequest{Alg: "sampling", U: 5, Candidates: []int{}}, "Sampling", false},
+		{"source candidates", "shape=source&alg=twophase&u=5&candidates=1,2,9", "/v1/source", SourceRequest{Alg: "twophase", U: 5, Candidates: []int{1, 2, 9}}, "SR-TS", true},
+		{"source indexed", "shape=source&alg=indexed&u=3", "/v1/source", SourceRequest{Alg: "indexed", U: 3}, AlgIndexed, true},
+		{"source indexed candidates", "shape=source&alg=Indexed&u=3&candidates=0,9", "/v1/source", SourceRequest{Alg: "indexed", U: 3, Candidates: []int{0, 9}}, AlgIndexed, true},
+		{"topk", "shape=topk&alg=baseline&u=3&k=5", "/v1/topk", TopKRequest{Alg: "baseline", U: &three, K: 5}, "Baseline", true},
+	}
+	for _, tc := range cases {
+		rec := httptest.NewRecorder()
+		q, ok := s.parseSubQuery(rec, httptest.NewRequest("GET", "/v1/subscribe?"+tc.sub, nil))
+		if !ok {
+			t.Fatalf("%s: subscription rejected: %s", tc.name, rec.Body)
+		}
+		h := s.engine()
+		key := fmt.Sprintf("%s|t%d", tc.cold.FlightKey(h.gen, tc.alg), s.cfg.QueryTimeout.Milliseconds())
+		release := holdFlight(t, s, key)
+		shape := strings.TrimPrefix(tc.path, "/v1/")
+		before := s.exec.Metrics.CoalescingStats().PerShape[shape]
+		code := call(t, s, "POST", tc.path, tc.cold, nil)
+		hits := s.exec.Metrics.CoalescingStats().PerShape[shape] - before
+		_, pushErr := s.pushBody(q.q, h)
+		h.release()
+		release()
+
+		if joined := code == 504 && hits == 1; joined != tc.share {
+			t.Errorf("%s: cold query joined flight %q = %v, want %v (status %d, coalesce hits %d)", tc.name, key, joined, tc.share, code, hits)
+		}
+		if joined := errors.Is(pushErr, context.DeadlineExceeded); joined != tc.share {
+			t.Errorf("%s: push joined flight %q = %v, want %v (push error %v)", tc.name, key, joined, tc.share, pushErr)
+		}
+	}
+}
+
+// holdFlight leads a flight under key that never finishes until the
+// returned release is called.
+func holdFlight(t *testing.T, s *Server, key string) (release func()) {
+	t.Helper()
+	block := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.exec.Flights.Do(context.Background(), key, nil, func() func() (any, error) {
+			return func() (any, error) {
+				<-block
+				return nil, errors.New("held flight released")
+			}
+		})
+	}()
+	for {
+		s.exec.Flights.mu.Lock()
+		_, ok := s.exec.Flights.m[key]
+		s.exec.Flights.mu.Unlock()
+		if ok {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return func() {
+		close(block)
+		<-done
 	}
 }
